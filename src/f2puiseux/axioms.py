@@ -121,10 +121,6 @@ def random_element(rng: random.Random, aprec, bound: int) -> L0Element:
     return L0Element(random_rational(rng, bound), random_unit(rng, aprec))
 
 
-def _render_rational(r: Fraction) -> str:
-    return str(r)
-
-
 def _render(x) -> str:
     # late import keeps textform free to depend on puiseux
     from .textform import format_element, format_unit

@@ -6,66 +6,55 @@ word-packed little-endian internally, so XOR, shifts and masks act on
 whole words at C speed; this module only adds the operations ints do
 not provide natively.
 
-The multiplication contract is sub-quadratic in the bit length.  Large
-products are computed by embedding each bit into a guard field of 8*k
-bits and using native integer multiplication (Karatsuba inside
-CPython): column sums of a carry-less product are bounded by the
-shorter operand's length, so with 2**(8k) above that bound no carry
-crosses a field boundary and the GF(2) coefficient is the parity of
-the field.  Spreading and gathering are table- and string-based, all
-linear time (CPython converts to and from power-of-two bases in
-linear time).
+Products of operands with few set bits shift and XOR one copy of the
+denser operand per set bit.  Above _COMB_CUTOFF set bits in the
+sparser operand, clmul switches to a comb with an 8-bit window (after
+Hankerson, Menezes and Vanstone, Guide to Elliptic Curve Cryptography,
+Alg. 2.36): a 256-entry table holds the products of the denser operand
+with every polynomial of degree below 8, and the sparser operand is
+walked a byte at a time, one shift and one XOR per nonzero byte.  That
+is about n/8 shift-XORs for an n-bit operand, each on ints of up to 2n
+bits, so the comb is quadratic in word operations, with a small
+constant.  The size sweep of a traced `dense` benchmark run
+(perfbench/run.py --trace 1) fits a log-log scaling exponent of
+1.48-1.52 over 2**10..2**16 bits, where the guard-field embedding that
+the comb replaced fit 1.57-1.62.  The fit stays below 2 because the
+table's fixed cost weighs most at the small end of the sweep; it is
+not a sub-quadratic bound.
+
+Spreading and gathering are string-based, all linear time (CPython
+converts to and from power-of-two bases in linear time).
 """
 
 from __future__ import annotations
 
-_EMBED_CUTOFF = 512  # below this, shift/xor schoolbook wins on constants
-
-# byte value -> b"0"/b"1" ASCII digit of its low bit
-_PARITY_ASCII = bytes(48 + (v & 1) for v in range(256))
-
-_SPREAD_TABLES: dict[int, list[bytes]] = {}
-
-
-def _spread_table(k: int) -> list[bytes]:
-    tbl = _SPREAD_TABLES.get(k)
-    if tbl is None:
-        tbl = []
-        for v in range(256):
-            chunk = bytearray(8 * k)
-            for i in range(8):
-                chunk[i * k] = (v >> i) & 1
-            tbl.append(bytes(chunk))
-        _SPREAD_TABLES[k] = tbl
-    return tbl
-
-
-def _embed(a: int, k: int) -> int:
-    """Place bit j of a at bit position 8*k*j."""
-    tbl = _spread_table(k)
-    ab = a.to_bytes((a.bit_length() + 7) // 8, "little")
-    return int.from_bytes(b"".join(map(tbl.__getitem__, ab)), "little")
+# popcount of the sparser operand above which the comb's fixed cost of
+# building its table is repaid; re-gridded operands are long but
+# sparse, so bit length would misjudge them
+_COMB_CUTOFF = 96
 
 
 def clmul(a: int, b: int) -> int:
     """Carry-less product of two bit-packed GF(2) polynomials."""
-    if a == 0 or b == 0:
-        return 0
-    la, lb = a.bit_length(), b.bit_length()
-    if min(la, lb) <= _EMBED_CUTOFF:
-        if a.bit_count() > b.bit_count():
-            a, b = b, a
-        acc = 0
+    if a.bit_count() > b.bit_count():
+        a, b = b, a
+    acc = 0
+    if a.bit_count() <= _COMB_CUTOFF:
         while a:
             low = a & -a
             acc ^= b << (low.bit_length() - 1)
             a ^= low
         return acc
-    # guard fields of 8k bits hold the exact column sums
-    k = (min(la, lb).bit_length() + 7) // 8
-    prod = _embed(a, k) * _embed(b, k)
-    lows = prod.to_bytes(k * (la + lb), "little")[0::k]
-    return int(lows.translate(_PARITY_ASCII)[::-1], 2)
+    # table[v] is b times the polynomial whose bits are those of v
+    table = [0]
+    for i in range(8):
+        shifted = b << i
+        table += [t ^ shifted for t in table]
+    a_bytes = a.to_bytes((a.bit_length() + 7) // 8, "little")
+    for i, byte in enumerate(a_bytes):
+        if byte:
+            acc ^= table[byte] << (8 * i)
+    return acc
 
 
 def trunc_bits(x: int, n: int) -> int:

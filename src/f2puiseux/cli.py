@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import re
 import sys
 from fractions import Fraction
@@ -276,6 +277,13 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.handler(args)
+    except BrokenPipeError:
+        # the reader closed stdout early, as `| head` does; point stdout
+        # at devnull so the flush at interpreter exit cannot fail again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 1
     except _ERRORS as exc:
         kind = type(exc).__name__
         if args.format == "records":

@@ -200,6 +200,10 @@ def prime_power_scan(q_max: int, *, include_oracle: bool = True
     """All prime powers q <= q_max with verdicts, ordered by q."""
     if q_max < 2:
         raise ValueError("q_max must be >= 2")
+    if q_max > _DESK_LIMIT:
+        # checked before the sieve grows: it takes a byte per integer
+        raise OutOfRange(
+            f"q_max = {q_max} exceeds the desk-scale limit {_DESK_LIMIT}")
     _grow_sieve(q_max)
     rows = []
     for p in range(2, q_max + 1):

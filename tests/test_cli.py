@@ -164,6 +164,27 @@ class TestFqScan:
         assert code == 0
         assert all(r["output"]["oracle"] is None for r in records)
 
+    def test_oversized_scan_is_one_line_diagnostic(self, capsys):
+        code, out, err = run(capsys, "fq-scan", "--max", "10000000000")
+        assert code == 1
+        assert out == ""
+        assert err.count("\n") == 1
+        assert err.startswith("fq-scan: OutOfRange: ")
+
+    def test_closed_stdout_gives_no_traceback(self):
+        # the table is far larger than a pipe buffer, so writes go on
+        # after the reader has gone
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "f2puiseux.cli", "fq-scan", "--max",
+             "1048576"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+        assert proc.stdout.readline().split() == [b"q", b"p", b"n",
+                                                  b"verdict"]
+        proc.stdout.close()
+        _, err = proc.communicate(timeout=60)
+        assert proc.returncode != 0
+        assert b"Traceback" not in err
+
 
 def test_installed_entry_point_runs():
     proc = subprocess.run(

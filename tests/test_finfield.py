@@ -1,5 +1,6 @@
 import pytest
 
+from f2puiseux import finfield
 from f2puiseux import (FqVerdict, OutOfRange, PrimePower,
                        elementary_abelian_oracle, linear_space_verdict,
                        lucas_lehmer, mersenne_exponent, prime_power_scan)
@@ -122,3 +123,11 @@ class TestScan:
     def test_qmax_validated(self):
         with pytest.raises(ValueError):
             prime_power_scan(1)
+
+    def test_qmax_above_desk_limit_rejected_before_sieve_grows(self):
+        size = len(finfield._sieve)
+        with pytest.raises(OutOfRange):
+            prime_power_scan(10_000_000_000)
+        with pytest.raises(OutOfRange):
+            prime_power_scan(finfield._DESK_LIMIT + 1, include_oracle=False)
+        assert len(finfield._sieve) == size

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from f2puiseux import (EvenK, F2Series, NotAUnit, OddSupport, add, inv,
                        kth_root_odd, mul, pow_int, sqrt)
-from f2puiseux.bitops import clmul
+from f2puiseux.bitops import _COMB_CUTOFF, clmul, spread
 
 from oracles import (bits_to_coeffs, coeffs_to_bits, convolve_mod2,
                      linear_lift_root, series_product)
@@ -90,8 +90,26 @@ class TestMul:
         assert pow_int(add(a, b), 2) == add(pow_int(a, 2), pow_int(b, 2))
 
 
+def clmul_oracle(a, b):
+    # schoolbook cost is popcount(a) * len(b): pass the sparser first
+    return coeffs_to_bits(convolve_mod2(bits_to_coeffs(a, a.bit_length()),
+                                        bits_to_coeffs(b, b.bit_length())))
+
+
+@st.composite
+def kernel_operand(draw):
+    """Bit lengths around 512 and set-bit counts around the comb cutoff."""
+    length = draw(st.one_of(st.integers(1, 1100), st.integers(500, 530)))
+    weight = draw(st.one_of(st.integers(1, length),
+                            st.integers(_COMB_CUTOFF - 4, _COMB_CUTOFF + 4)))
+    rng = random.Random(draw(st.integers(0, 2 ** 32)))
+    ones = rng.sample(range(length), min(weight, length))
+    return sum(1 << j for j in ones) | (1 << (length - 1))
+
+
 class TestCarrylessKernel:
-    """The embedding path must agree with plain convolution."""
+    """Both paths, shift-and-XOR and the byte-window comb, must agree
+    with plain convolution."""
 
     @pytest.mark.parametrize("la,lb", [
         (511, 511), (512, 512), (513, 513), (600, 2000), (2000, 513),
@@ -106,15 +124,59 @@ class TestCarrylessKernel:
         assert clmul(a, b) == want
 
     def test_dense_operands_max_column_sums(self):
-        # all-ones inputs drive every guard field to its maximum
-        for n in (513, 520, 1024):
+        # all-ones inputs fill every byte window and every table entry
+        rng = random.Random(7)
+        for n in (_COMB_CUTOFF, _COMB_CUTOFF + 1, 513, 520, 1024, 1031):
             a = (1 << n) - 1
             want = coeffs_to_bits(convolve_mod2([1] * n, [1] * n))
             assert clmul(a, a) == want
+            b = rng.getrandbits(3 * n) | 1
+            assert clmul(a, b) == clmul(b, a) == clmul_oracle(a, b)
 
     def test_zero(self):
         assert clmul(0, 12345) == 0
         assert clmul(12345, 0) == 0
+
+    @given(kernel_operand(), kernel_operand())
+    @settings(max_examples=60, deadline=None)
+    def test_matches_oracle_across_both_cutoffs(self, a, b):
+        want = clmul_oracle(*sorted((a, b), key=int.bit_count))
+        assert clmul(a, b) == want
+        assert clmul(b, a) == want
+
+    @pytest.mark.parametrize("m", [2, 3, 5, 8, 12, 16, 31])
+    def test_strided_long_times_dense_short(self, m):
+        # spread() output, as re-aligning grids produces: long, sparse
+        rng = random.Random(m)
+        for dense_len, short_len in ((120, 700), (300, 64), (400, 257)):
+            a = spread(rng.getrandbits(dense_len) | 1, m)
+            b = rng.getrandbits(short_len) | (1 << (short_len - 1))
+            want = clmul_oracle(a, b)
+            assert clmul(a, b) == want
+            assert clmul(b, a) == want
+
+    def test_sparse_long_times_dense_short(self):
+        rng = random.Random(29)
+        for weight in (1, _COMB_CUTOFF, _COMB_CUTOFF + 1, 300):
+            a = sum(1 << j for j in rng.sample(range(20000), weight))
+            b = rng.getrandbits(600) | 1
+            assert clmul(a, b) == clmul_oracle(a, b)
+
+    def test_many_zero_bytes(self):
+        rng = random.Random(31)
+        for share in (0.5, 0.9, 0.99):
+            def operand(nbytes):
+                raw = bytes(0 if rng.random() < share else rng.randrange(256)
+                            for _ in range(nbytes))
+                return int.from_bytes(raw, "little") | 1
+            a, b = operand(600), operand(400)
+            want = clmul_oracle(*sorted((a, b), key=int.bit_count))
+            assert clmul(a, b) == want
+            assert clmul(b, a) == want
+        # one set bit per byte: every window is nonzero but holds one bit
+        a = sum(1 << (8 * i + rng.randrange(8)) for i in range(200))
+        b = rng.getrandbits(900)
+        assert clmul(a, b) == clmul_oracle(a, b)
 
 
 class TestSupportGcd:
