@@ -12,6 +12,9 @@ sample draws its randomness from a generator keyed on (seed, harness,
 sample index), so the result is independent of evaluation order.
 Samples that hit the grid-denominator cap are counted as skipped, not
 failed; the cap is a resource bound, not a mathematical violation.
+The harnesses share one sampling loop, which renders a counterexample
+only on a law's first failure; elements and units are immutable, so
+the text is what the sample would have rendered when drawn.
 
 The harnesses call the group operations through the `puiseux` module
 object, so a test can swap a deliberately broken operation in and
@@ -70,7 +73,7 @@ class AxiomReport:
 
 
 class _Tally:
-    """Per-law accumulator preserving declaration order."""
+    """Per-law accumulator in declaration order; renders first failures."""
 
     def __init__(self, names):
         self.names = tuple(names)
@@ -78,13 +81,13 @@ class _Tally:
         self.failures = {n: 0 for n in self.names}
         self.first = {n: None for n in self.names}
 
-    def commit(self, outcomes):
-        for name, ok, witness in outcomes:
+    def commit(self, index, outcomes):
+        for name, ok, inputs in outcomes:
             self.checked[name] += 1
             if not ok:
                 self.failures[name] += 1
                 if self.first[name] is None:
-                    self.first[name] = witness
+                    self.first[name] = _witness(index, **inputs)
 
     def checks(self):
         return tuple(AxiomCheck(n, self.checked[n], self.failures[n],
@@ -137,6 +140,28 @@ def _witness(index: int, **inputs) -> str:
     return f"sample {index}: {rendered}"
 
 
+def _run(kind: str, names, samples: int, seed: int, aprec: Fraction,
+         params: tuple[tuple[str, int], ...], draw, laws) -> AxiomReport:
+    """Tally `laws` over one draw per sample.
+
+    `draw` maps the sample's generator to the arguments of `laws`, which
+    yields (law name, holds, witness inputs) per check.  A sample whose
+    checks hit the denominator cap is skipped as a whole.
+    """
+    tally = _Tally(names)
+    skipped = 0
+    for i in range(samples):
+        drawn = draw(_rng(seed, kind, i))
+        try:
+            outcomes = list(laws(*drawn))
+        except DenominatorOverflow:
+            skipped += 1
+            continue
+        tally.commit(i, outcomes)
+    return AxiomReport(kind, seed, samples, aprec, params, skipped,
+                       tally.checks())
+
+
 _VS_LAWS = (
     "scalar-distributes-over-scalar-addition",
     "scalar-distributes-over-product",
@@ -161,57 +186,38 @@ def check_vector_space_axioms(samples: int, aprec, seed: int,
     if scalar_bound < 1:
         raise ValueError("scalar_bound must be >= 1")
     aprec = Fraction(aprec)
-    tally = _Tally(_VS_LAWS)
-    skipped = 0
-    for i in range(samples):
-        rng = _rng(seed, "vector-space", i)
-        r = random_rational(rng, scalar_bound)
-        s = random_rational(rng, scalar_bound)
-        a = random_element(rng, aprec, scalar_bound)
-        b = random_element(rng, aprec, scalar_bound)
-        witness = _witness(i, r=r, s=s, a=a, b=b)
-        try:
-            outcomes = []
 
-            lhs = px.element_scalar_mul(r + s, a, den_cap=den_cap)
-            rhs = px.element_mul(px.element_scalar_mul(r, a, den_cap=den_cap),
-                                 px.element_scalar_mul(s, a, den_cap=den_cap),
-                                 den_cap=den_cap)
-            outcomes.append((_VS_LAWS[0], elements_agree(lhs, rhs), witness))
+    def draw(rng):
+        return (random_rational(rng, scalar_bound),
+                random_rational(rng, scalar_bound),
+                random_element(rng, aprec, scalar_bound),
+                random_element(rng, aprec, scalar_bound))
 
-            lhs = px.element_scalar_mul(r, px.element_mul(a, b,
-                                                          den_cap=den_cap),
-                                        den_cap=den_cap)
-            rhs = px.element_mul(px.element_scalar_mul(r, a, den_cap=den_cap),
-                                 px.element_scalar_mul(r, b, den_cap=den_cap),
-                                 den_cap=den_cap)
-            outcomes.append((_VS_LAWS[1], elements_agree(lhs, rhs), witness))
+    def act(q, x):
+        return px.element_scalar_mul(q, x, den_cap=den_cap)
 
-            lhs = px.element_scalar_mul(r * s, a, den_cap=den_cap)
-            rhs = px.element_scalar_mul(r, px.element_scalar_mul(
-                s, a, den_cap=den_cap), den_cap=den_cap)
-            outcomes.append((_VS_LAWS[2], elements_agree(lhs, rhs), witness))
+    def mul(x, y):
+        return px.element_mul(x, y, den_cap=den_cap)
 
-            acted = px.element_scalar_mul(1, a, den_cap=den_cap)
-            outcomes.append((_VS_LAWS[3], elements_agree(acted, a), witness))
+    def laws(r, s, a, b):
+        inputs = {"r": r, "s": s, "a": a, "b": b}
+        yield (_VS_LAWS[0],
+               elements_agree(act(r + s, a), mul(act(r, a), act(s, a))),
+               inputs)
+        yield (_VS_LAWS[1],
+               elements_agree(act(r, mul(a, b)), mul(act(r, a), act(r, b))),
+               inputs)
+        yield (_VS_LAWS[2], elements_agree(act(r * s, a), act(r, act(s, a))),
+               inputs)
+        yield _VS_LAWS[3], elements_agree(act(1, a), a), inputs
+        yield _VS_LAWS[4], elements_agree(act(0, a), L0Element.one()), inputs
+        got_val, got_unit = px.decompose(mul(a, b))
+        want_unit = px.unit_mul(a.unit, b.unit, den_cap=den_cap)
+        yield (_VS_LAWS[5], got_val == a.val + b.val
+               and units_agree(got_unit, want_unit), inputs)
 
-            zeroed = px.element_scalar_mul(0, a, den_cap=den_cap)
-            outcomes.append((_VS_LAWS[4],
-                             elements_agree(zeroed, L0Element.one()), witness))
-
-            prod = px.element_mul(a, b, den_cap=den_cap)
-            got_val, got_unit = px.decompose(prod)
-            want_unit = px.unit_mul(a.unit, b.unit, den_cap=den_cap)
-            split_ok = (got_val == a.val + b.val
-                        and units_agree(got_unit, want_unit))
-            outcomes.append((_VS_LAWS[5], split_ok, witness))
-        except DenominatorOverflow:
-            skipped += 1
-            continue
-        tally.commit(outcomes)
-    return AxiomReport("vector-space", seed, samples, aprec,
-                       (("scalar_bound", scalar_bound),), skipped,
-                       tally.checks())
+    return _run("vector-space", _VS_LAWS, samples, seed, aprec,
+                (("scalar_bound", scalar_bound),), draw, laws)
 
 
 def _largest_power_of_two_at_most(n: int) -> int:
@@ -238,30 +244,26 @@ def check_torsion_free(samples: int, n_max: int, aprec, seed: int, *,
         raise ValueError(
             f"aprec {aprec} cannot certify nontriviality of powers up "
             f"to {n_max} on the sample grids")
-    tally = _Tally(("powers-stay-off-identity",))
-    skipped = 0
-    for i in range(samples):
-        rng = _rng(seed, "torsion", i)
-        u = random_unit(rng, aprec)
-        while u.is_identity() or u.exponents()[1] * worst >= aprec:
+    law = "powers-stay-off-identity"
+
+    def draw(rng):
+        while True:
             u = random_unit(rng, aprec)
-        witness_u = u
-        try:
-            outcomes = []
-            p = u
-            outcomes.append(("powers-stay-off-identity", not p.is_identity(),
-                             _witness(i, n=1, u=witness_u)))
-            for n in range(2, n_max + 1):
+            # the lowest set bit of u - 1 is its valuation on u's grid
+            rest = u.body.coeffs ^ 1
+            low = (rest & -rest).bit_length() - 1
+            if rest and Fraction(low, u.den) * worst < aprec:
+                return (u,)
+
+    def laws(u):
+        p = u
+        for n in range(1, n_max + 1):
+            if n > 1:
                 p = px.unit_mul(p, u, den_cap=den_cap)
-                outcomes.append(("powers-stay-off-identity",
-                                 not p.is_identity(),
-                                 _witness(i, n=n, u=witness_u)))
-        except DenominatorOverflow:
-            skipped += 1
-            continue
-        tally.commit(outcomes)
-    return AxiomReport("torsion", seed, samples, aprec,
-                       (("n_max", n_max),), skipped, tally.checks())
+            yield law, not p.is_identity(), {"n": n, "u": u}
+
+    return _run("torsion", (law,), samples, seed, aprec,
+                (("n_max", n_max),), draw, laws)
 
 
 _BIJ_LAWS = (
@@ -280,31 +282,21 @@ def check_root_bijectivity(samples: int, k_max: int, aprec, seed: int, *,
     if k_max < 2:
         raise ValueError("k_max must be >= 2")
     aprec = Fraction(aprec)
-    tally = _Tally(_BIJ_LAWS)
-    skipped = 0
-    for i in range(samples):
-        rng = _rng(seed, "bijectivity", i)
-        u = random_unit(rng, aprec)
-        v = random_unit(rng, aprec)
-        try:
-            outcomes = []
-            for k in range(1, k_max + 1):
-                witness = _witness(i, k=k, u=u, v=v)
-                root = px.unit_root(u, k, den_cap=den_cap)
-                outcomes.append((_BIJ_LAWS[0],
-                                 units_agree(px.unit_pow(root, k), u),
-                                 witness))
-                power = px.unit_pow(u, k)
-                back = px.unit_root(power, k, den_cap=den_cap)
-                outcomes.append((_BIJ_LAWS[1], units_agree(back, u), witness))
-                both = px.unit_pow(px.unit_mul(u, v, den_cap=den_cap), k)
-                split = px.unit_mul(px.unit_pow(u, k), px.unit_pow(v, k),
-                                    den_cap=den_cap)
-                outcomes.append((_BIJ_LAWS[2], units_agree(both, split),
-                                 witness))
-        except DenominatorOverflow:
-            skipped += 1
-            continue
-        tally.commit(outcomes)
-    return AxiomReport("bijectivity", seed, samples, aprec,
-                       (("k_max", k_max),), skipped, tally.checks())
+
+    def draw(rng):
+        return random_unit(rng, aprec), random_unit(rng, aprec)
+
+    def laws(u, v):
+        for k in range(1, k_max + 1):
+            inputs = {"k": k, "u": u, "v": v}
+            root = px.unit_root(u, k, den_cap=den_cap)
+            yield _BIJ_LAWS[0], units_agree(px.unit_pow(root, k), u), inputs
+            back = px.unit_root(px.unit_pow(u, k), k, den_cap=den_cap)
+            yield _BIJ_LAWS[1], units_agree(back, u), inputs
+            both = px.unit_pow(px.unit_mul(u, v, den_cap=den_cap), k)
+            split = px.unit_mul(px.unit_pow(u, k), px.unit_pow(v, k),
+                                den_cap=den_cap)
+            yield _BIJ_LAWS[2], units_agree(both, split), inputs
+
+    return _run("bijectivity", _BIJ_LAWS, samples, seed, aprec,
+                (("k_max", k_max),), draw, laws)

@@ -97,11 +97,6 @@ class PuiseuxUnit:
         return f"PuiseuxUnit({' + '.join(terms)} + O(x^({self.aprec})))"
 
 
-def normalize(den: int, body: F2Series) -> PuiseuxUnit:
-    """Canonical representative of a raw denominator-and-series pair."""
-    return PuiseuxUnit(den, body)
-
-
 def _on_grid(u: PuiseuxUnit, den: int) -> tuple[int, int]:
     """Body bits and precision index of u re-read on the grid 1/den."""
     m = den // u.den

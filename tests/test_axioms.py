@@ -5,6 +5,7 @@ import pytest
 import f2puiseux.puiseux as px
 from f2puiseux import (F2Series, PuiseuxUnit, check_root_bijectivity,
                        check_torsion_free, check_vector_space_axioms)
+from f2puiseux import axioms
 from f2puiseux.axioms import random_unit, _rng
 
 
@@ -160,3 +161,79 @@ class TestSampler:
         rng = _rng(0, "demo", 1)
         with pytest.raises(ValueError):
             random_unit(rng, Q(1, 5))
+
+
+@pytest.fixture
+def lossy_mul(monkeypatch):
+    """The top-coefficient-dropping product of TestFaultInjection."""
+    honest = px.unit_mul
+
+    def lossy(u, v, *, den_cap=px.DEFAULT_DEN_CAP):
+        out = honest(u, v, den_cap=den_cap)
+        top = out.body.prec - 1
+        return PuiseuxUnit(out.den, F2Series(
+            out.body.coeffs & ~(1 << top), out.body.prec))
+
+    monkeypatch.setattr(px, "unit_mul", lossy)
+
+
+def _faulty_runs():
+    return (check_vector_space_axioms(12, 2, seed=2, scalar_bound=3,
+                                      den_cap=24),
+            check_torsion_free(20, 4, 1, seed=42),
+            check_root_bijectivity(6, 4, 2, seed=2))
+
+
+class TestWitnesses:
+    def test_golden_counterexamples(self, lossy_mul):
+        vs, torsion, bij = _faulty_runs()
+        assert vs.skipped == 1
+        assert [(c.checked, c.failures) for c in vs.checks] == [
+            (11, 5), (11, 2), (11, 0), (11, 0), (11, 0), (11, 0)]
+        assert [c.first_counterexample for c in vs.checks[:2]] == [
+            "sample 4: r=1 s=-2/3 a=x^(-2/3) * 1 + x^(1) + O(x^(2)) "
+            "b=x^(-3) * 1 + x^(1/2) + x^(1) + O(x^(2))",
+            "sample 5: r=-1/3 s=1/2 a=x^(-2/3) * 1 + x^(2/3) + x^(1) "
+            "+ x^(4/3) + x^(5/3) + O(x^(2)) b=x^(-3/2) * 1 + x^(1/8) "
+            "+ x^(5/8) + x^(3/4) + x^(9/8) + x^(5/4) + x^(7/4) + O(x^(2))"]
+        assert torsion.skipped == 0
+        (check,) = torsion.checks
+        assert (check.checked, check.failures) == (80, 4)
+        assert check.first_counterexample == (
+            "sample 2: n=4 u=1 + x^(1/6) + x^(2/3) + O(x^(1))")
+        assert bij.skipped == 0
+        assert [(c.checked, c.failures) for c in bij.checks] == [
+            (24, 0), (24, 0), (24, 8)]
+        assert bij.checks[2].first_counterexample == (
+            "sample 0: k=2 u=1 + x^(1) + O(x^(2)) "
+            "v=1 + x^(1/2) + x^(1) + x^(3/2) + O(x^(2))")
+
+    @pytest.fixture
+    def renders(self, monkeypatch):
+        calls = []
+        honest = axioms._render
+
+        def counted(x):
+            calls.append(x)
+            return honest(x)
+
+        monkeypatch.setattr(axioms, "_render", counted)
+        return calls
+
+    def test_clean_and_skipped_runs_render_nothing(self, renders):
+        assert check_vector_space_axioms(20, 16, seed=4,
+                                         scalar_bound=5).passed
+        assert check_torsion_free(10, 16, 32, seed=4).passed
+        assert check_root_bijectivity(5, 8, 32, seed=4).passed
+        skipping = check_vector_space_axioms(20, 16, seed=2, scalar_bound=7,
+                                             den_cap=1)
+        assert skipping.skipped == 20
+        assert renders == []
+
+    def test_one_witness_per_failing_law(self, lossy_mul, renders):
+        # a witness renders each of its inputs once: r, s, a, b for the
+        # vector-space laws, n, u for torsion and k, u, v for bijectivity
+        failing = [sum(c.failures > 0 for c in report.checks)
+                   for report in _faulty_runs()]
+        assert failing == [2, 1, 1]
+        assert len(renders) == 4 * 2 + 2 * 1 + 3 * 1
