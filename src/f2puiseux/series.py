@@ -7,19 +7,24 @@ the minimum of the operands' precisions; comparisons across different
 precisions truncate both sides to the smaller one first.
 
 Units (constant coefficient 1) support inversion and unique k-th roots
-for odd k, both computed by Newton lifting with precision doubling.
-In characteristic 2 the inversion step y <- a*y*y squares the error
-exactly, because (1+e)**2 = 1+e*e; the odd-root step
-b <- b + (b**k + a) / b**(k-1) likewise doubles the number of correct
-coefficients per iteration since the derivative k*b**(k-1) = b**(k-1)
-is a unit.
+for odd k, both from one Newton lifting of the inverse k-th root
+y = a**(-1/k) by the inversion-free step y <- a * y**(k+1).  If
+a*y**k = 1+e, the step makes it (1+e)**(k+1).  As k+1 is even and
+squaring is additive in characteristic 2, that is (1+e*e)**((k+1)/2):
+each step at least doubles the number of correct coefficients, and
+2**w-folds it when 2**w divides k+1.  The inverse is the case k = 1,
+y <- a*y*y, and the k-th root is a * y**(k-1).  A 2**v-th power is a
+bit spread, exact from its base modulo t**ceil(prec / 2**v), so y is
+lifted, and raised to the odd part of each exponent, only to that
+reduced precision.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .bitops import bit_indices, clmul, even_part, square, trunc_bits
+from .bitops import (bit_indices, clmul, even_part, spread, square,
+                     trunc_bits)
 from .errors import EvenK, NotAUnit, OddSupport
 
 
@@ -89,7 +94,7 @@ def inv(a: F2Series) -> F2Series:
     """Inverse of a unit, to the same precision."""
     if not a.is_unit():
         raise NotAUnit("series has constant coefficient 0")
-    return F2Series(_inv(a.coeffs, a.prec), a.prec)
+    return F2Series(_inv_root(a.coeffs, 1, a.prec), a.prec)
 
 
 def sqrt(a: F2Series) -> F2Series:
@@ -111,7 +116,7 @@ def kth_root_odd(a: F2Series, k: int) -> F2Series:
         raise NotAUnit("series has constant coefficient 0")
     if k == 1:
         return a
-    return F2Series(_kth_root_odd(a.coeffs, k, a.prec), a.prec)
+    return F2Series(_inv_root(a.coeffs, k, a.prec, k - 1), a.prec)
 
 
 # ---------------------------------------------------------------------------
@@ -127,31 +132,23 @@ def _sqr(a: int, prec: int) -> int:
 
 def _pow(a: int, e: int, prec: int) -> int:
     r, b = 1, trunc_bits(a, prec)
-    while e:
+    while True:
         if e & 1:
             r = _mul(r, b, prec)
-        b = _sqr(b, prec)
         e >>= 1
-    return r
+        if not e:
+            return r
+        b = _sqr(b, prec)
 
 
-def _inv(a: int, prec: int) -> int:
-    # y <- a*y*y doubles the error valuation each step
-    y, cur = 1, 1
-    while cur < prec:
-        cur = min(2 * cur, prec)
-        y = _mul(trunc_bits(a, cur), _sqr(y, cur), cur)
-    return y
-
-
-def _kth_root_odd(a: int, k: int, prec: int) -> int:
-    ladder = [prec]
-    while ladder[-1] > 1:
-        ladder.append((ladder[-1] + 1) // 2)
-    b = 1  # the root's residue; correct modulo t
-    for m in ladder[-2::-1]:
-        am = trunc_bits(a, m)
-        bk1 = _pow(b, k - 1, m)
-        residual = _mul(bk1, b, m) ^ am  # b**k + a
-        b ^= _mul(residual, _inv(bk1, m), m)
-    return b
+def _inv_root(a: int, k: int, prec: int, e: int = 0) -> int:
+    # y = a**(-1/k), odd k, by the Newton step y <- a * y**(k+1); given
+    # an even e, a * y**e instead.  With e = c * 2**v, c odd, y**e is
+    # the spread of y**c by 2**v, so y is needed modulo t**h only,
+    # h = ceil(prec / 2**v).
+    e = e or k + 1
+    v = (e & -e).bit_length() - 1
+    h = -(-prec >> v)
+    y = _inv_root(a, k, h) if h > 1 else 1
+    ye = spread(_pow(y, e >> v, h), 1 << v)
+    return _mul(trunc_bits(a, prec), trunc_bits(ye, prec), prec)

@@ -2,9 +2,9 @@
 
 Everything here deliberately avoids the package's bit-packed kernel:
 series are coefficient lists, Puiseux terms are dicts keyed by exact
-fractions, and products are schoolbook convolutions.  The linear-lift
-root finder fixes one coefficient at a time straight from the defining
-equation, with no Newton step anywhere.
+fractions, and products are schoolbook convolutions.  The inverse and
+the linear-lift root finder fix one coefficient at a time straight from
+the defining equation, with no Newton step anywhere.
 """
 
 from fractions import Fraction
@@ -41,6 +41,22 @@ def series_product(a: F2Series, b: F2Series) -> F2Series:
     coeffs = convolve_mod2(bits_to_coeffs(a.coeffs, prec),
                            bits_to_coeffs(b.coeffs, prec), prec)
     return F2Series(coeffs_to_bits(coeffs), prec)
+
+
+def schoolbook_inverse(a: F2Series) -> F2Series:
+    """Inverse of a unit by fixing one coefficient per step.
+
+    Coefficient m >= 1 of a*y is y[m] + sum(a[i]*y[m-i], 1 <= i <= m),
+    which must vanish, so y[m] is that sum over the coefficients
+    already fixed.
+    """
+    ca = bits_to_coeffs(a.coeffs, a.prec)
+    assert ca[0] == 1
+    support = [i for i in range(1, a.prec) if ca[i]]
+    y = [1]
+    for m in range(1, a.prec):
+        y.append(sum(y[m - i] for i in support if i <= m) & 1)
+    return F2Series(coeffs_to_bits(y), a.prec)
 
 
 def linear_lift_root(a: F2Series, k: int) -> F2Series:

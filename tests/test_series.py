@@ -5,11 +5,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from f2puiseux import (EvenK, F2Series, NotAUnit, OddSupport, add, inv,
-                       kth_root_odd, mul, pow_int, sqrt)
+                       kth_root_odd, mul, pow_int, series, sqrt)
 from f2puiseux.bitops import _COMB_CUTOFF, clmul, spread
 
 from oracles import (bits_to_coeffs, coeffs_to_bits, convolve_mod2,
-                     linear_lift_root, series_product)
+                     linear_lift_root, schoolbook_inverse, series_product)
 
 
 def S(bits, prec):
@@ -288,6 +288,53 @@ class TestKthRoot:
             assert newton.coeffs == linear.coeffs  # bit for bit
 
 
+# each Newton rung divides the precision by a power of 2, rounding up,
+# so precisions next to a power of 2 give the most and least even rungs
+LADDER_PRECS = sorted({(1 << j) + d for j in range(11) for d in (-1, 0, 1)}
+                      - {0})
+
+
+class TestNewtonAgainstOracles:
+    """inv is the k = 1 case of the inverse-root loop, kth_root_odd the
+    others; both must match the coefficient-at-a-time oracles, and their
+    results at thousands of bits must multiply or power back."""
+
+    @pytest.fixture
+    def comb_calls(self, monkeypatch):
+        calls = []
+
+        def traced(a, b):
+            if min(a.bit_count(), b.bit_count()) > _COMB_CUTOFF:
+                calls.append(max(a.bit_length(), b.bit_length()))
+            return clmul(a, b)
+        monkeypatch.setattr(series, "clmul", traced)
+        return calls
+
+    @pytest.mark.parametrize("k", [1, 3, 5, 9, 31, 49])
+    def test_ladder_boundaries(self, k):
+        rng = random.Random(k)
+        for prec in LADDER_PRECS:
+            a = S(rng.getrandbits(prec) | 1, prec)
+            if k == 1:
+                assert inv(a).coeffs == schoolbook_inverse(a).coeffs, prec
+            else:
+                got = kth_root_odd(a, k).coeffs
+                assert got == linear_lift_root(a, k).coeffs, prec
+
+    @pytest.mark.parametrize("k", [1, 3, 5, 9, 31, 49])
+    def test_dense_operands_reach_the_comb(self, k, comb_calls):
+        # with 2**v dividing k-1, the last product multiplies a by a
+        # 2**v-fold spread, so k = 9 and 49 need thousands of bits; the
+        # unique root is certified by raising it back to the k-th power
+        a = S(random.Random(k).getrandbits(4097) | 1, 4097)
+        got = inv(a) if k == 1 else kth_root_odd(a, k)
+        assert max(comb_calls, default=0) > 2048
+        if k == 1:
+            assert mul(a, got) == F2Series.one(a.prec)
+        else:
+            assert got.coeffs & 1 and pow_int(got, k) == a
+
+
 class TestPow:
     def test_zero_exponent(self):
         assert pow_int(S(0b1101, 4), 0) == F2Series.one(4)
@@ -304,3 +351,15 @@ class TestPow:
     @settings(max_examples=40)
     def test_exponent_addition(self, a, e1, e2):
         assert mul(pow_int(a, e1), pow_int(a, e2)) == pow_int(a, e1 + e2)
+
+    @pytest.mark.parametrize("e", [0, 1, 2, 3, 4, 7, 8, 48, 255, 256])
+    def test_no_squaring_past_the_top_bit(self, e, monkeypatch):
+        squarings = []
+        real = series._sqr
+
+        def counted(a, prec):
+            squarings.append(prec)
+            return real(a, prec)
+        monkeypatch.setattr(series, "_sqr", counted)
+        series._pow(0b1011, e, 64)
+        assert len(squarings) == max(e.bit_length() - 1, 0)
