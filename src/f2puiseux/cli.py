@@ -15,6 +15,7 @@ import os
 import re
 import sys
 from fractions import Fraction
+from functools import cache
 
 from . import axioms, finfield
 from .errors import DenominatorOverflow, Indistinguishable, ParseError
@@ -27,68 +28,99 @@ _ERRORS = (ParseError, DenominatorOverflow, Indistinguishable,
            ValueError, OverflowError)
 
 
-def _emit(args, payload_input, output) -> None:
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError("must be a positive integer")
+    return value
+
+
+def _positive(default: int) -> dict:
+    return {"type": _positive_int, "default": default}
+
+
+# The command tables name every package function inside a lambda, so
+# the name is looked up in this module when the command runs and
+# anything that wraps it here sees the call.
+
+# Text positionals are read when the command runs, in declaration
+# order, so that a bad value is a typed error; any other positional
+# type is an argparse type, checked when the command line is parsed.
+_READ = {
+    "element": lambda text, cap: parse_element(text, den_cap=cap),
+    "unit": lambda text, cap: parse_unit(text, den_cap=cap),
+    "rational": lambda text, cap: parse_rational(text),
+}
+_A = ("a", "element text", "element")
+
+# op: positionals as (name, help, type), and the operation on their
+# values and the den cap
+_ELEMENT_OPS = {
+    "mul": ([_A, ("b", "element text", "element")],
+            lambda a, b, cap: element_mul(a, b, den_cap=cap)),
+    "inv": ([_A], lambda a, cap: element_inv(a)),
+    "pow": ([_A, ("e", "integer exponent", int)],
+            lambda a, e, cap: element_pow(a, e)),
+    "root": ([_A, ("k", "root index", _positive_int)],
+             lambda a, k, cap: element_root(a, k, den_cap=cap)),
+    "scalar-mul": ([("r", "rational scalar p/q", "rational"), _A],
+                   lambda r, a, cap: element_scalar_mul(r, a, den_cap=cap)),
+    # parsing factors the raw series; printing shows x^(val) * unit
+    "decompose": ([("a", "raw series text", "element")], lambda a, cap: a),
+    "compose": ([("alpha", "rational valuation", "rational"),
+                 ("u", "unit text", "unit")],
+                lambda alpha, u, cap: compose(alpha, u)),
+}
+
+_SAMPLES = ("--samples", _positive(100))
+_APREC = ("--aprec", {"default": "64",
+                      "help": "working precision, a rational"})
+_SEED = ("--seed", {"type": int, "default": 0})
+
+# command: flags in the order of the records input, and the harness run
+_HARNESSES = {
+    "axioms": ([_SAMPLES, _APREC, _SEED, ("--scalar-bound", _positive(9))],
+               lambda a: axioms.check_vector_space_axioms(
+                   a.samples, Fraction(a.aprec), a.seed, a.scalar_bound,
+                   den_cap=a.den_cap)),
+    "torsion": ([_SAMPLES, ("--nmax", _positive(64)), _APREC, _SEED],
+                lambda a: axioms.check_torsion_free(
+                    a.samples, a.nmax, Fraction(a.aprec), a.seed,
+                    den_cap=a.den_cap)),
+    "bijectivity": ([_SAMPLES, ("--kmax", _positive(16)), _APREC, _SEED],
+                    lambda a: axioms.check_root_bijectivity(
+                        a.samples, a.kmax, Fraction(a.aprec), a.seed,
+                        den_cap=a.den_cap)),
+}
+
+
+def _input(args):
+    # the records echo: an element op lists the text of its parsed
+    # positionals, any other command maps its flags to their values
+    values = {name: getattr(args, name) for name in args.inputs}
+    if args.handler is _cmd_element:
+        return [str(v) for v in values.values()]
+    return values
+
+
+def _emit(args, output, key="output") -> None:
     if args.format == "records":
-        record = {"op": args.op, "input": payload_input, "output": output}
-        print(json.dumps(record))
-    elif isinstance(output, str):
-        print(output)
+        print(json.dumps({"op": args.op, "input": _input(args), key: output}))
     else:
-        for line in output:
-            print(line)
+        print(output)
 
 
-def _run_element_op(args, compute) -> int:
-    result = compute(args)
-    _emit(args, args.collect(args), format_element(result))
+def _cmd_element(args) -> int:
+    values = []
+    for name, _, kind in args.positionals:
+        value = getattr(args, name)
+        values.append(_READ[kind](value, args.den_cap)
+                      if kind in _READ else value)
+    _emit(args, format_element(args.compute(*values, args.den_cap)))
     return 0
 
 
-def _cmd_mul(args) -> int:
-    return _run_element_op(args, lambda a: element_mul(
-        parse_element(a.a, den_cap=a.den_cap),
-        parse_element(a.b, den_cap=a.den_cap), den_cap=a.den_cap))
-
-
-def _cmd_inv(args) -> int:
-    return _run_element_op(args, lambda a: element_inv(
-        parse_element(a.a, den_cap=a.den_cap)))
-
-
-def _cmd_pow(args) -> int:
-    return _run_element_op(args, lambda a: element_pow(
-        parse_element(a.a, den_cap=a.den_cap), a.e))
-
-
-def _cmd_root(args) -> int:
-    return _run_element_op(args, lambda a: element_root(
-        parse_element(a.a, den_cap=a.den_cap), a.k, den_cap=a.den_cap))
-
-
-def _cmd_scalar_mul(args) -> int:
-    return _run_element_op(args, lambda a: element_scalar_mul(
-        parse_rational(a.r), parse_element(a.a, den_cap=a.den_cap),
-        den_cap=a.den_cap))
-
-
-def _cmd_decompose(args) -> int:
-    # parsing factors the raw series; printing shows x^(val) * unit
-    return _run_element_op(
-        args, lambda a: parse_element(a.a, den_cap=a.den_cap))
-
-
-def _cmd_compose(args) -> int:
-    return _run_element_op(args, lambda a: compose(
-        parse_rational(a.alpha), parse_unit(a.u, den_cap=a.den_cap)))
-
-
-def _check_to_dict(check: axioms.AxiomCheck) -> dict:
-    return {"name": check.name, "checked": check.checked,
-            "failures": check.failures,
-            "counterexample": check.first_counterexample}
-
-
-def _report_lines(report: axioms.AxiomReport) -> list[str]:
+def _report_text(report: axioms.AxiomReport) -> str:
     params = " ".join(f"{k}={v}" for k, v in report.params)
     lines = [f"{report.kind}: seed={report.seed} samples={report.samples} "
              f"aprec={report.aprec} {params}"]
@@ -101,39 +133,21 @@ def _report_lines(report: axioms.AxiomReport) -> list[str]:
             lines.append(f"    counterexample: {c.first_counterexample}")
     lines.append(f"  skipped samples: {report.skipped}")
     lines.append(f"result: {'PASS' if report.passed else 'FAIL'}")
-    return lines
+    return "\n".join(lines)
 
 
-def _emit_report(args, report: axioms.AxiomReport) -> int:
+def _cmd_harness(args) -> int:
+    report = args.run(args)
     if args.format == "records":
-        output = {"skipped": report.skipped, "failures": report.failures,
-                  "passed": report.passed,
-                  "checks": [_check_to_dict(c) for c in report.checks]}
-        _emit(args, args.collect(args), output)
+        _emit(args, {"skipped": report.skipped, "failures": report.failures,
+                     "passed": report.passed,
+                     "checks": [{"name": c.name, "checked": c.checked,
+                                 "failures": c.failures,
+                                 "counterexample": c.first_counterexample}
+                                for c in report.checks]})
     else:
-        _emit(args, None, _report_lines(report))
+        _emit(args, _report_text(report))
     return 0 if report.passed else 1
-
-
-def _cmd_axioms(args) -> int:
-    report = axioms.check_vector_space_axioms(
-        args.samples, Fraction(args.aprec), args.seed, args.scalar_bound,
-        den_cap=args.den_cap)
-    return _emit_report(args, report)
-
-
-def _cmd_torsion(args) -> int:
-    report = axioms.check_torsion_free(
-        args.samples, args.nmax, Fraction(args.aprec), args.seed,
-        den_cap=args.den_cap)
-    return _emit_report(args, report)
-
-
-def _cmd_bijectivity(args) -> int:
-    report = axioms.check_root_bijectivity(
-        args.samples, args.kmax, Fraction(args.aprec), args.seed,
-        den_cap=args.den_cap)
-    return _emit_report(args, report)
 
 
 def _verdict_to_dict(v: finfield.FqVerdict | None) -> dict | None:
@@ -174,107 +188,55 @@ def _cmd_fq_scan(args) -> int:
     return 0
 
 
-def _positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError("must be a positive integer")
-    return value
-
-
-def _add_global_flags(parser, suppress):
-    # the flags are accepted both before and after the subcommand; the
-    # subparser copies must not clobber a value given up front
-    default = argparse.SUPPRESS if suppress else None
-    parser.add_argument("--den-cap", type=_positive_int, dest="den_cap",
-                        default=default if suppress else DEFAULT_DEN_CAP,
+@cache
+def build_parser() -> argparse.ArgumentParser:
+    # The global flags are accepted both before and after the
+    # subcommand.  Every parser shares their one declaration, whose
+    # default is suppressed so that a subcommand cannot clobber a value
+    # given up front.  `main` supplies the real defaults in the starting
+    # namespace; `set_defaults` would write them into the shared
+    # declaration.
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--den-cap", type=_positive_int,
+                        default=argparse.SUPPRESS,
                         help="largest allowed exponent-grid denominator")
-    parser.add_argument("--format", choices=("text", "records"),
-                        default=default if suppress else "text",
+    common.add_argument("--format", choices=("text", "records"),
+                        default=argparse.SUPPRESS,
                         help="human text or line-delimited JSON records")
 
-
-def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    _add_global_flags(common, suppress=True)
-
     parser = argparse.ArgumentParser(
-        prog="f2puiseux",
+        prog="f2puiseux", parents=[common],
         description="Exact arithmetic on truncated fractional-exponent "
                     "series over GF(2), with structure checks.")
-    _add_global_flags(parser, suppress=False)
     sub = parser.add_subparsers(dest="op", required=True)
 
-    def element_cmd(name, func, collect, *params):
+    def command(name, handler, arguments, **defaults):
         p = sub.add_parser(name, parents=[common])
-        # let negative rationals like -5/3 pass as positional values
-        p._negative_number_matcher = re.compile(r"^-\d+(/\d+)?$")
-        for pname, kwargs in params:
-            p.add_argument(pname, **kwargs)
-        p.set_defaults(handler=func, collect=collect)
+        inputs = [p.add_argument(flag, **kwargs).dest
+                  for flag, kwargs in arguments]
+        p.set_defaults(handler=handler, inputs=inputs, **defaults)
         return p
 
-    element_cmd("mul", _cmd_mul, lambda a: [a.a, a.b],
-                ("a", {"help": "element text"}),
-                ("b", {"help": "element text"}))
-    element_cmd("inv", _cmd_inv, lambda a: [a.a],
-                ("a", {"help": "element text"}))
-    element_cmd("pow", _cmd_pow, lambda a: [a.a, str(a.e)],
-                ("a", {"help": "element text"}),
-                ("e", {"type": int, "help": "integer exponent"}))
-    element_cmd("root", _cmd_root, lambda a: [a.a, str(a.k)],
-                ("a", {"help": "element text"}),
-                ("k", {"type": _positive_int, "help": "root index"}))
-    element_cmd("scalar-mul", _cmd_scalar_mul, lambda a: [a.r, a.a],
-                ("r", {"help": "rational scalar p/q"}),
-                ("a", {"help": "element text"}))
-    element_cmd("decompose", _cmd_decompose, lambda a: [a.a],
-                ("a", {"help": "raw series text"}))
-    element_cmd("compose", _cmd_compose, lambda a: [a.alpha, a.u],
-                ("alpha", {"help": "rational valuation"}),
-                ("u", {"help": "unit text"}))
-
-    def harness_params(a):
-        return {k: getattr(a, k) for k in a.param_names}
-
-    p = sub.add_parser("axioms", parents=[common])
-    p.add_argument("--samples", type=_positive_int, default=100)
-    p.add_argument("--aprec", default="64",
-                   help="working precision, a rational")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--scalar-bound", type=_positive_int, default=9,
-                   dest="scalar_bound")
-    p.set_defaults(handler=_cmd_axioms, collect=harness_params,
-                   param_names=("samples", "aprec", "seed", "scalar_bound"))
-
-    p = sub.add_parser("torsion", parents=[common])
-    p.add_argument("--samples", type=_positive_int, default=100)
-    p.add_argument("--nmax", type=_positive_int, default=64)
-    p.add_argument("--aprec", default="64")
-    p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(handler=_cmd_torsion, collect=harness_params,
-                   param_names=("samples", "nmax", "aprec", "seed"))
-
-    p = sub.add_parser("bijectivity", parents=[common])
-    p.add_argument("--samples", type=_positive_int, default=100)
-    p.add_argument("--kmax", type=_positive_int, default=16)
-    p.add_argument("--aprec", default="64")
-    p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(handler=_cmd_bijectivity, collect=harness_params,
-                   param_names=("samples", "kmax", "aprec", "seed"))
-
-    p = sub.add_parser("fq-scan", parents=[common])
-    p.add_argument("--max", type=_positive_int, default=1024,
-                   help="largest prime power to scan")
-    p.add_argument("--oracle", action="store_true",
-                   help="also run the brute-force group check")
-    p.set_defaults(handler=_cmd_fq_scan, collect=harness_params,
-                   param_names=("max", "oracle"))
-
+    for op, (positionals, compute) in _ELEMENT_OPS.items():
+        p = command(op, _cmd_element,
+                    [(name, {"help": text,
+                             "type": None if kind in _READ else kind})
+                     for name, text, kind in positionals],
+                    positionals=positionals, compute=compute)
+        # let negative rationals like -5/3 pass as positional values
+        p._negative_number_matcher = re.compile(r"^-\d+(/\d+)?$")
+    for kind, (flags, run) in _HARNESSES.items():
+        command(kind, _cmd_harness, flags, run=run)
+    command("fq-scan", _cmd_fq_scan, [
+        ("--max", {**_positive(1024), "help": "largest prime power to scan"}),
+        ("--oracle", {"action": "store_true",
+                      "help": "also run the brute-force group check"})])
     return parser
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    defaults = argparse.Namespace(den_cap=DEFAULT_DEN_CAP, format="text")
+    args = build_parser().parse_args(argv, defaults)
     try:
         return args.handler(args)
     except BrokenPipeError:
@@ -285,13 +247,11 @@ def main(argv=None) -> int:
         os.close(devnull)
         return 1
     except _ERRORS as exc:
-        kind = type(exc).__name__
+        error = f"{type(exc).__name__}: {exc}"
         if args.format == "records":
-            record = {"op": args.op, "input": args.collect(args),
-                      "error": f"{kind}: {exc}"}
-            print(json.dumps(record))
+            _emit(args, error, key="error")
         else:
-            print(f"{args.op}: {kind}: {exc}", file=sys.stderr)
+            print(f"{args.op}: {error}", file=sys.stderr)
         return 1
 
 

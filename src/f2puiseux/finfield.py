@@ -55,17 +55,8 @@ def is_prime(n: int) -> bool:
 
 
 def trial_division_prime(n: int) -> bool:
-    """Literal trial division by every integer up to sqrt(n)."""
-    if n < 2:
-        return False
-    if n % 2 == 0:
-        return n == 2
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 2
-    return True
+    """Literal trial division by 2 and every odd integer up to sqrt(n)."""
+    return n >= 2 and _smallest_prime_factor(n) == n
 
 
 def lucas_lehmer(r: int) -> bool:

@@ -50,12 +50,6 @@ class F2Series:
     def is_unit(self) -> bool:
         return bool(self.coeffs & 1)
 
-    def truncate(self, prec: int) -> "F2Series":
-        """Forget coefficients at or above prec (never extends knowledge)."""
-        if prec >= self.prec:
-            return self
-        return F2Series(self.coeffs, prec)
-
     def __eq__(self, other):
         if not isinstance(other, F2Series):
             return NotImplemented
@@ -131,13 +125,14 @@ def _sqr(a: int, prec: int) -> int:
 
 
 def _pow(a: int, e: int, prec: int) -> int:
-    r, b = 1, trunc_bits(a, prec)
+    # the product starts at the lowest set bit of e, never from 1
+    r, b = None, trunc_bits(a, prec)
     while True:
         if e & 1:
-            r = _mul(r, b, prec)
+            r = b if r is None else _mul(r, b, prec)
         e >>= 1
         if not e:
-            return r
+            return 1 if r is None else r
         b = _sqr(b, prec)
 
 

@@ -1,6 +1,11 @@
+import io
 import json
+import os
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
+from unittest import mock
 
 import pytest
 
@@ -193,3 +198,143 @@ def test_installed_entry_point_runs():
         capture_output=True, text=True)
     assert proc.returncode == 0
     assert proc.stdout.strip() == "1 + x^(2) + O(x^(3))"
+
+
+# ---------------------------------------------------------------------------
+# golden transcripts: exit code, stdout and stderr of every subcommand,
+# byte for byte.  The expected values live in cli_golden.json; rewrite
+# it with `PYTHONPATH=src python tests/test_cli.py` only for a change of
+# canonical output that CHANGES.md explains.
+
+GOLDEN = Path(__file__).with_name("cli_golden.json")
+
+U4 = "1 + x^(1) + O(x^(4))"
+V4 = "1 + x^(1/2) + O(x^(4))"
+F3 = "x^(2) * 1 + x^(1) + O(x^(3))"
+U3 = "1 + x^(1) + O(x^(3))"
+RAW = "x^(1/2) + x^(1) + x^(3/2) + O(x^(2))"
+UNIT3 = "1 + x^(1/3) + O(x^(2))"
+R = ("--format", "records")
+
+
+def _both(*argv):
+    return [list(argv), [*argv, *R]]
+
+
+CASES = [
+    *_both("mul", U4, V4),
+    *_both("inv", F3),
+    *_both("pow", "1 + x^(1) + O(x^(5))", "2"),
+    *_both("pow", U4, "+03"),
+    *_both("pow", F3, "-2"),
+    *_both("root", U3, "3"),
+    *_both("root", "1 + x^(2) + O(x^(4))", "+02"),
+    *_both("scalar-mul", "2/3", U3),
+    *_both("scalar-mul", "-5/3", "x^(3) * 1 + x^(1) + O(x^(3))"),
+    *_both("decompose", RAW),
+    *_both("compose", "-5/3", UNIT3),
+    # global flags before the subcommand, after it, and both ways
+    [*R, "mul", U4, V4],
+    [*R, "--den-cap", "16", "scalar-mul", "1/2", U3],
+    ["--den-cap", "16", "scalar-mul", "1/64", U3],
+    ["scalar-mul", "1/64", U3, "--den-cap", "16"],
+    ["--den-cap", "16", "scalar-mul", "1/64", U3, "--den-cap", "64"],
+    ["--den-cap", "64", "scalar-mul", "1/64", U3, "--den-cap", "16"],
+    ["--format", "text", "inv", F3, *R],
+    [*R, "inv", F3, "--format", "text"],
+    [*R, "--den-cap", "16", "scalar-mul", "1/64", U3],
+    # typed errors: one record or one line, never partial output
+    *_both("mul", "wat", "1 + O(x^(1))"),
+    *_both("mul", "1 + O(x^(1))", "wat"),
+    *_both("inv", "x^(1/2) + O(x^(1/4))"),
+    *_both("scalar-mul", "1/0", "wat"),
+    *_both("scalar-mul", "x", U3),
+    *_both("compose", "1/2", RAW),
+    *_both("compose", "one", "wat"),
+    *_both("root", "wat", "3"),
+    *_both("pow", "x^(1) + O(x^(2))", "0"),
+    # argparse rejections exit 2 with usage on stderr
+    ["root", U3, "0"],
+    ["pow", U3, "abc"],
+    ["--den-cap", "0", "inv", F3],
+    ["--format", "json", "inv", F3],
+    ["mul", U3],
+    [],
+    ["frobnicate"],
+    ["--help"],
+    ["mul", "--help"],
+    ["compose", "--help"],
+    ["axioms", "--help"],
+    ["fq-scan", "--help"],
+    # harnesses, with the records input in its fixed key order
+    *_both("axioms", "--samples", "4", "--aprec", "16", "--seed", "1",
+           "--scalar-bound", "3"),
+    *_both("axioms", "--samples", "3"),
+    *_both("axioms", "--scalar-bound", "2", "--seed", "5", "--aprec", "8",
+           "--samples", "2"),
+    *_both("torsion", "--samples", "4", "--nmax", "16", "--aprec", "32",
+           "--seed", "7"),
+    *_both("torsion", "--samples", "3"),
+    *_both("bijectivity", "--samples", "3", "--kmax", "8", "--aprec", "32",
+           "--seed", "3"),
+    *_both("bijectivity", "--samples", "2"),
+    [*R, "axioms", "--samples", "2", "--den-cap", "64"],
+    *_both("axioms", "--samples", "2", "--aprec", "abc"),
+    *_both("torsion", "--samples", "2", "--nmax", "1"),
+    *_both("bijectivity", "--samples", "2", "--kmax", "1"),
+    *_both("torsion", "--samples", "2", "--aprec", "0"),
+    ["axioms", "--samples", "0"],
+    ["torsion", "--seed", "x"],
+    # the field scan
+    *_both("fq-scan", "--max", "40"),
+    *_both("fq-scan", "--max", "40", "--oracle"),
+    *_both("fq-scan", "--max", "1"),
+    *_both("fq-scan", "--max", "10000000000"),
+    ["fq-scan", "--max", "-3"],
+]
+
+
+def transcript(argv):
+    """One `main` call as {argv, code, out, err}, help text at 80 columns."""
+    out, err = io.StringIO(), io.StringIO()
+    with mock.patch.dict(os.environ, {"COLUMNS": "80"}), \
+            redirect_stdout(out), redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return {"argv": argv, "code": code, "out": out.getvalue(),
+            "err": err.getvalue()}
+
+
+@pytest.mark.parametrize(
+    "index", range(len(CASES)),
+    ids=[f"{i:02d}-{(c or ['none'])[0].lstrip('-')}"
+         for i, c in enumerate(CASES)])
+def test_golden_transcript(index):
+    expected = json.loads(GOLDEN.read_text())
+    assert len(expected) == len(CASES)
+    assert transcript(CASES[index]) == expected[index]
+
+
+def test_parser_reuse_leaks_no_state(capsys):
+    # the parser is built once per process: flags from one call must
+    # not carry over into the next
+    scale = ["scalar-mul", "1/64", U3]
+    plain = "1 + x^(1/64) + O(x^(3/64))\n"
+    code, records, _ = run_records(capsys, "--den-cap", "16", *scale)
+    assert code == 1
+    assert records[0]["error"].startswith("DenominatorOverflow: ")
+    assert run(capsys, *scale) == (0, plain, "")
+    code, out, err = run(capsys, *scale, "--den-cap", "16")
+    assert (code, out) == (1, "") and "DenominatorOverflow" in err
+    assert run(capsys, *scale, "--format", "text") == (0, plain, "")
+    code, records, _ = run_records(capsys, "pow", U3, "+03")
+    assert code == 0 and records[0]["input"] == [U3, "3"]
+    assert run(capsys, "inv", F3) == (
+        0, "x^(-2) * 1 + x^(1) + x^(2) + O(x^(3))\n", "")
+
+
+if __name__ == "__main__":
+    GOLDEN.write_text(json.dumps([transcript(c) for c in CASES], indent=1)
+                      + "\n")

@@ -52,6 +52,10 @@ class TestMersenneExponent:
             m = (1 << r) - 1
             assert lucas_lehmer(r) == trial_division_prime(m)
 
+    def test_trial_division_matches_sieve(self):
+        assert all(trial_division_prime(n) == finfield.is_prime(n)
+                   for n in range(5000))
+
 
 class TestVerdict:
     def test_q2_dimension_zero(self):

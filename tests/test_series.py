@@ -363,3 +363,19 @@ class TestPow:
         monkeypatch.setattr(series, "_sqr", counted)
         series._pow(0b1011, e, 64)
         assert len(squarings) == max(e.bit_length() - 1, 0)
+
+    @pytest.mark.parametrize("e", [1, 2, 3, 7, 8, 100])
+    def test_no_product_with_one(self, e, monkeypatch):
+        b, prec = 0b1011, 1024
+        expected = F2Series.one(prec)
+        for _ in range(e):
+            expected = mul(expected, S(b, prec))
+        products = []
+
+        def counted(x, y):
+            products.append((x, y))
+            return clmul(x, y)
+        monkeypatch.setattr(series, "clmul", counted)
+        assert series._pow(b, e, prec) == expected.coeffs
+        assert len(products) == e.bit_count() - 1
+        assert all(1 not in pair for pair in products)
