@@ -67,11 +67,17 @@ def trunc_bits(x: int, n: int) -> int:
 
 
 def bit_indices(x: int):
-    """Ascending indices of the set bits of x; cost scales with them."""
-    while x:
-        low = x & -x
-        yield low.bit_length() - 1
-        x ^= low
+    """Ascending indices of the set bits of x.
+
+    One scan of the LSB-first binary digits, linear in the bit length
+    of x; peeling the lowest bit off the int instead copies all of x
+    per set bit, which is quadratic on dense operands.
+    """
+    digits = bin(x)[:1:-1]
+    j = digits.find("1")
+    while j >= 0:
+        yield j
+        j = digits.find("1", j + 1)
 
 
 def spread(x: int, m: int) -> int:

@@ -23,8 +23,6 @@ from math import isqrt
 
 from .errors import OutOfRange
 
-DEFAULT_SCAN_BOUND = 1 << 20
-
 # primality is desk-scale by design; the scan bound keeps runs instant
 _DESK_LIMIT = 1 << 22
 
@@ -158,14 +156,16 @@ def linear_space_verdict(pp: PrimePower) -> FqVerdict:
 
 
 def elementary_abelian_oracle(pp: PrimePower, *,
-                              bound: int | None = DEFAULT_SCAN_BOUND
+                              bound: int | None = _DESK_LIMIT
                               ) -> FqVerdict:
     """Brute-force witness: check Z/(q-1) against (Z/p')**m directly.
 
     Finds the candidate prime p' dividing q - 1, requires q - 1 to be
     a power of it, and then verifies every element's order divides p'
     by multiplication in the cyclic group.  No shortcut through
-    "q - 1 is prime" is taken.
+    "q - 1 is prime" is taken.  A q above bound (by default the
+    desk-scale limit that also bounds prime_power_scan) raises
+    OutOfRange before any work.
     """
     q = pp.q
     if bound is not None and q > bound:
@@ -210,7 +210,6 @@ def prime_power_scan(q_max: int, *, include_oracle: bool = True
     for q, p, n in rows:
         pp = PrimePower(p, n)
         verdict = linear_space_verdict(pp)
-        oracle = (elementary_abelian_oracle(pp, bound=q_max)
-                  if include_oracle else None)
+        oracle = elementary_abelian_oracle(pp) if include_oracle else None
         out.append((pp, verdict, oracle))
     return out

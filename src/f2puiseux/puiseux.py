@@ -21,6 +21,7 @@ Values are immutable and every operation is a pure function.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
@@ -93,8 +94,8 @@ class PuiseuxUnit:
     __hash__ = None
 
     def __repr__(self):
-        terms = ["1"] + [f"x^({e})" for e in self.exponents()[1:]]
-        return f"PuiseuxUnit({' + '.join(terms)} + O(x^({self.aprec})))"
+        from .textform import format_unit  # textform imports this module
+        return f"PuiseuxUnit({format_unit(self)})"
 
 
 def _on_grid(u: PuiseuxUnit, den: int) -> tuple[int, int]:
@@ -227,29 +228,45 @@ def decompose_raw(exponents: Iterable[RationalLike], aprec: RationalLike, *,
     least surviving exponent becomes the valuation and is divided out.
     """
     aprec = Fraction(aprec)
-    support: set[Rational] = set()
+    terms = []
     for e in exponents:
         e = Fraction(e)
         if e >= aprec:
             raise ValueError(
                 f"term x^({e}) lies at or beyond the precision O(x^({aprec}))")
-        support.symmetric_difference_update({e})
+        terms.append((e.numerator, e.denominator))
+    return _factor(terms, aprec.numerator, aprec.denominator, den_cap)
+
+
+def _factor(terms: list[tuple[int, int]], prec_num: int, prec_den: int,
+            den_cap: int | None) -> L0Element:
+    # The integer core of decompose_raw and the parser.  Terms are
+    # reduced (num, den) exponent pairs below the reduced precision
+    # prec_num/prec_den.  Every exponent is an index on the grid 1/big,
+    # big the lcm of all denominators; repeats cancel by parity.  The
+    # minimal grid of the unit divides big by the gcd of big, the
+    # indices relative to the valuation and the relative precision.
+    dens = {d for _, d in terms}
+    big = lcm(prec_den, *dens)
+    scale = {d: big // d for d in dens}
+    counts = Counter([n * scale[d] for n, d in terms])
+    support = [i for i, c in counts.items() if c & 1]
     if not support:
         raise Indistinguishable(
             "all coefficients within precision are zero")
-    val = min(support)
-    rel = [e - val for e in support]
-    rel_prec = aprec - val
-    d = 1
-    for e in rel:
-        d = lcm(d, e.denominator)
-    d = lcm(d, rel_prec.denominator)
-    _check_den(d, den_cap)
-    bits = 0
-    for e in rel:
-        bits |= 1 << (e.numerator * (d // e.denominator))
-    prec = rel_prec.numerator * (d // rel_prec.denominator)
-    return L0Element(val, PuiseuxUnit(d, F2Series(bits, prec)))
+    low = min(support)
+    rel = [i - low for i in support]
+    rel_prec = prec_num * (big // prec_den) - low
+    g = gcd(big, rel_prec, *rel)
+    den = big // g
+    _check_den(den, den_cap)
+    buf = bytearray(max(rel) // g // 8 + 1)
+    for i in rel:
+        j = i // g
+        buf[j >> 3] |= 1 << (j & 7)
+    unit = PuiseuxUnit(den, F2Series(int.from_bytes(buf, "little"),
+                                     rel_prec // g))
+    return L0Element(Fraction(low, big), unit)
 
 
 def element_mul(a: L0Element, b: L0Element, *,

@@ -4,12 +4,20 @@ Everything here deliberately avoids the package's bit-packed kernel:
 series are coefficient lists, Puiseux terms are dicts keyed by exact
 fractions, and products are schoolbook convolutions.  The inverse and
 the linear-lift root finder fix one coefficient at a time straight from
-the defining equation, with no Newton step anywhere.
+the defining equation, with no Newton step anywhere.  The reference
+text codec parses, factors and formats with exact Fractions and a set
+of exponents, term by term, where the package works on integer grid
+indices.
 """
 
+import re
 from fractions import Fraction
+from math import lcm
 
-from f2puiseux import F2Series, PuiseuxUnit, pow_int
+from f2puiseux import (DenominatorOverflow, ElementSyntaxError,
+                       ExponentNotIncreasing, F2Series, Indistinguishable,
+                       L0Element, NonpositivePrecision, NonUnitLeadingTerm,
+                       PuiseuxUnit, pow_int)
 
 
 def bits_to_coeffs(bits: int, prec: int) -> list[int]:
@@ -91,3 +99,133 @@ def term_product(tu: dict, tv: dict, aprec: Fraction) -> dict[Fraction, int]:
             if e < aprec:
                 out[e] = out.get(e, 0) ^ 1
     return {e: c for e, c in out.items() if c}
+
+
+# ---------------------------------------------------------------------------
+# reference text codec
+
+def reference_decompose_raw(exponents, aprec, *, den_cap=1 << 16):
+    """decompose_raw on Fractions: a set of exponents, min and lcm."""
+    aprec = Fraction(aprec)
+    support = set()
+    for e in exponents:
+        e = Fraction(e)
+        if e >= aprec:
+            raise ValueError(
+                f"term x^({e}) lies at or beyond the precision O(x^({aprec}))")
+        support.symmetric_difference_update({e})
+    if not support:
+        raise Indistinguishable(
+            "all coefficients within precision are zero")
+    val = min(support)
+    rel = [e - val for e in support]
+    rel_prec = aprec - val
+    d = 1
+    for e in rel:
+        d = lcm(d, e.denominator)
+    d = lcm(d, rel_prec.denominator)
+    if den_cap is not None and d > den_cap:
+        raise DenominatorOverflow(
+            f"grid denominator {d} exceeds the cap {den_cap}")
+    bits = 0
+    for e in rel:
+        bits |= 1 << (e.numerator * (d // e.denominator))
+    prec = rel_prec.numerator * (d // rel_prec.denominator)
+    return L0Element(val, PuiseuxUnit(d, F2Series(bits, prec)))
+
+
+_EXPONENT = r"(?:\((-?\d+)(?:/(\d+))?\)|(-?\d+))"
+_X_TERM = re.compile(rf"x\^{_EXPONENT}\Z")
+_O_TERM = re.compile(rf"O\(x\^{_EXPONENT}\)\Z")
+
+
+def _exponent_from_match(m, position):
+    num = m.group(1) if m.group(1) is not None else m.group(3)
+    den = m.group(2)
+    if den is not None and int(den) == 0:
+        raise ElementSyntaxError("zero denominator in exponent", position)
+    return Fraction(int(num), int(den) if den is not None else 1)
+
+
+def reference_parse_element(s, *, den_cap=1 << 16):
+    """parse_element with a Fraction per exponent and per comparison."""
+    chunks = []
+    start = 0
+    while True:
+        cut = s.find("+", start)
+        chunks.append((start, s[start:] if cut < 0 else s[start:cut]))
+        if cut < 0:
+            break
+        start = cut + 1
+    parts = []
+    for off, chunk in chunks:
+        stripped = chunk.strip()
+        if not stripped:
+            raise ElementSyntaxError("empty term", off)
+        parts.append((off + chunk.index(stripped[0]), stripped))
+    if len(parts) < 2:
+        raise ElementSyntaxError(
+            "element needs at least one term and a trailing O(x^(P))",
+            parts[-1][0] if parts else 0)
+    o_pos, o_text = parts[-1]
+    m = _O_TERM.match(o_text)
+    if m is None:
+        raise ElementSyntaxError(
+            f"expected precision marker O(x^(P)), got {o_text!r}", o_pos)
+    aprec = _exponent_from_match(m, o_pos)
+
+    val = None
+    body = parts[:-1]
+    first_pos, first_text = body[0]
+    if "*" in first_text:
+        head, _, lead = first_text.partition("*")
+        head = head.strip()
+        mh = _X_TERM.match(head)
+        if mh is None:
+            raise ElementSyntaxError(
+                f"expected valuation factor 'x^(a/b)', got {head!r}", first_pos)
+        val = _exponent_from_match(mh, first_pos)
+        lead = lead.strip()
+        if lead != "1":
+            raise NonUnitLeadingTerm(
+                f"unit part must start with 1, got {lead!r}",
+                first_pos + first_text.index("*") + 1)
+        body[0] = (first_pos, "1")
+
+    exponents = []
+    last = None
+    for pos, text in body:
+        if text == "1":
+            e = Fraction(0)
+        else:
+            m = _X_TERM.match(text)
+            if m is None:
+                raise ElementSyntaxError(
+                    f"expected '1' or 'x^(a/b)', got {text!r}", pos)
+            e = _exponent_from_match(m, pos)
+        if last is not None and e <= last:
+            raise ExponentNotIncreasing(
+                f"exponent {e} does not increase past {last}", pos)
+        if e >= aprec:
+            raise NonpositivePrecision(
+                f"term x^({e}) is not representable below the precision "
+                f"O(x^({aprec}))", pos)
+        exponents.append(e)
+        last = e
+
+    element = reference_decompose_raw(exponents, aprec, den_cap=den_cap)
+    if val is not None:
+        element = L0Element(val + element.val, element.unit)
+    return element
+
+
+def reference_format_unit(u):
+    """format_unit from the Fraction of every set bit, peeled one at a
+    time off the body."""
+    terms = ["1"]
+    x = u.body.coeffs ^ 1
+    while x:
+        low = x & -x
+        terms.append(f"x^({Fraction(low.bit_length() - 1, u.den)})")
+        x ^= low
+    return " + ".join(terms) + f" + O(x^({u.aprec}))"
