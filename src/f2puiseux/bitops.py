@@ -23,10 +23,22 @@ table's fixed cost weighs most at the small end of the sweep; it is
 not a sub-quadratic bound.
 
 Spreading and gathering are string-based, all linear time (CPython
-converts to and from power-of-two bases in linear time).
+converts to and from power-of-two bases in linear time).  They carry
+all re-gridding: a body moves to an m-times finer grid by spread, back
+by compress, and x sits on the stride m iff spreading its compress
+gives x back.  support_gcd finds the coarsest stride dividing a seed by
+a gcd descent on that one test: from d = seed, each failed test names
+the lowest set bit off the stride, whose index i the answer divides, so
+d becomes gcd(d, i), a proper divisor; a passing test means d divides
+every index, so d is the answer.  The descent therefore takes at most
+one failed test per prime factor of the seed, counted with
+multiplicity, and on a support that holds a small index, such as a
+random body with bit 1 set, the first failure ends it.
 """
 
 from __future__ import annotations
+
+from math import gcd
 
 # popcount of the sparser operand above which the comb's fixed cost of
 # building its table is repaid; re-gridded operands are long but
@@ -90,59 +102,26 @@ def spread(x: int, m: int) -> int:
 def compress(x: int, m: int) -> int:
     """Move bit m*j to bit j, discarding bits off the stride.
 
-    Inverse of spread on its image; callers needing exactness must
-    check the support first (or round-trip, as _on_stride does).
+    Inverse of spread on its image; x is on the stride m exactly when
+    spread(compress(x, m), m) == x, which is how callers needing
+    exactness check it.
     """
     if m == 1 or x == 0:
         return x
     return int(bin(x)[:1:-1][0::m][::-1], 2)
 
 
-def square(x: int) -> int:
-    """Square in GF(2)[t]: the Frobenius map, a pure bit spread."""
-    return spread(x, 2)
-
-
-def even_part(x: int) -> tuple[int, bool]:
-    """Gather bits at even positions; also report whether odd bits exist.
-
-    Returns (y, clean) with bit j of y = bit 2j of x and clean true iff
-    every odd-position bit of x is zero.
-    """
-    if x == 0:
-        return 0, True
-    rev = bin(x)[:1:-1]  # LSB-first digits
-    odd = "1" in rev[1::2]
-    return int(rev[0::2][::-1], 2), not odd
-
-
-def _on_stride(x: int, m: int) -> bool:
-    """True iff every set bit of x sits at a multiple of m."""
-    return spread(compress(x, m), m) == x
-
-
 def support_gcd(x: int, seed: int) -> int:
     """Largest divisor of seed dividing every set-bit index of x.
 
-    Tested one prime-power factor of seed at a time with linear-time
-    stride checks, so the cost does not grow with the number of set
-    bits.  Bit 0 sits on every stride; x = 0 imposes no constraint.
+    A gcd descent on linear-time stride tests (see the module
+    docstring), so the cost does not grow with the number of set bits.
+    Bit 0 sits on every stride; x = 0 imposes no constraint.
     """
-    if x == 0 or seed == 1:
-        return seed
-    d = 1
-    rest = seed
-    p = 2
-    while p * p <= rest:
-        if rest % p == 0:
-            e = 0
-            while rest % p == 0:
-                rest //= p
-                e += 1
-            while e > 0 and not _on_stride(x, p ** e):
-                e -= 1
-            d *= p ** e
-        p += 1 if p == 2 else 2
-    if rest > 1 and _on_stride(x, rest):
-        d *= rest
+    d = seed
+    while d > 1:
+        off = x ^ spread(compress(x, d), d)
+        if not off:
+            break
+        d = gcd(d, (off & -off).bit_length() - 1)
     return d

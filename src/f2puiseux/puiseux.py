@@ -61,9 +61,7 @@ class PuiseuxUnit:
         # canonical representative: contract the grid by the common divisor
         # of den, the support indices and the precision index, so that
         # re-gridding is exact and rendering round-trips.
-        g = gcd(self.den, self.body.prec)
-        if g > 1:
-            g = support_gcd(self.body.coeffs, g)
+        g = support_gcd(self.body.coeffs, gcd(self.den, self.body.prec))
         if g > 1:
             body = F2Series(compress(self.body.coeffs, g), self.body.prec // g)
             object.__setattr__(self, "den", self.den // g)
@@ -98,29 +96,37 @@ class PuiseuxUnit:
         return f"PuiseuxUnit({format_unit(self)})"
 
 
-def _on_grid(u: PuiseuxUnit, den: int) -> tuple[int, int]:
-    """Body bits and precision index of u re-read on the grid 1/den."""
+def _common_grid(u: PuiseuxUnit, v: PuiseuxUnit,
+                 den_cap: int | None = None) -> tuple[int, int]:
+    """The common grid 1/den of u and v, checked against the cap before
+    anything is spread, and the smaller precision index on it."""
+    d = lcm(u.den, v.den)
+    _check_den(d, den_cap)
+    return d, min(u.body.prec * (d // u.den), v.body.prec * (d // v.den))
+
+
+def _on_grid(u: PuiseuxUnit, den: int, prec: int) -> int:
+    """Body bits of u re-read on the grid 1/den, below the index prec.
+
+    The body is truncated on its own grid first, so nothing beyond the
+    common precision is spread.
+    """
     m = den // u.den
-    return spread(u.body.coeffs, m), u.body.prec * m
+    return spread(trunc_bits(u.body.coeffs, -(-prec // m)), m)
 
 
 def units_agree(u: PuiseuxUnit, v: PuiseuxUnit) -> bool:
     """Equality on a common grid at the smaller of the two precisions."""
-    d = lcm(u.den, v.den)
-    cu, pu = _on_grid(u, d)
-    cv, pv = _on_grid(v, d)
-    p = min(pu, pv)
-    return trunc_bits(cu ^ cv, p) == 0
+    d, p = _common_grid(u, v)
+    return _on_grid(u, d, p) == _on_grid(v, d, p)
 
 
 def unit_mul(u: PuiseuxUnit, v: PuiseuxUnit, *,
              den_cap: int | None = DEFAULT_DEN_CAP) -> PuiseuxUnit:
     """Product in the unit group; precision is the minimum of the inputs'."""
-    d = lcm(u.den, v.den)
-    _check_den(d, den_cap)
-    cu, pu = _on_grid(u, d)
-    cv, pv = _on_grid(v, d)
-    body = series.mul(F2Series(cu, pu), F2Series(cv, pv))
+    d, p = _common_grid(u, v, den_cap)
+    body = series.mul(F2Series(_on_grid(u, d, p), p),
+                      F2Series(_on_grid(v, d, p), p))
     return PuiseuxUnit(d, body)
 
 

@@ -23,8 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .bitops import (bit_indices, clmul, even_part, spread, square,
-                     trunc_bits)
+from .bitops import bit_indices, clmul, compress, spread, trunc_bits
 from .errors import EvenK, NotAUnit, OddSupport
 
 
@@ -96,8 +95,8 @@ def sqrt(a: F2Series) -> F2Series:
 
     The result is known modulo t**ceil(prec/2).
     """
-    root, clean = even_part(a.coeffs)
-    if not clean:
+    root = compress(a.coeffs, 2)
+    if spread(root, 2) != a.coeffs:
         raise OddSupport("series has a nonzero coefficient at an odd exponent")
     return F2Series(root, (a.prec + 1) // 2)
 
@@ -121,7 +120,7 @@ def _mul(a: int, b: int, prec: int) -> int:
 
 
 def _sqr(a: int, prec: int) -> int:
-    return trunc_bits(square(trunc_bits(a, (prec + 1) // 2)), prec)
+    return trunc_bits(spread(trunc_bits(a, (prec + 1) // 2), 2), prec)
 
 
 def _pow(a: int, e: int, prec: int) -> int:

@@ -5,9 +5,10 @@ series are coefficient lists, Puiseux terms are dicts keyed by exact
 fractions, and products are schoolbook convolutions.  The inverse and
 the linear-lift root finder fix one coefficient at a time straight from
 the defining equation, with no Newton step anywhere.  The reference
-text codec parses, factors and formats with exact Fractions and a set
-of exponents, term by term, where the package works on integer grid
-indices.
+spread and compress move one coefficient at a time, where the package
+re-grids whole binary strings.  The reference text codec parses,
+factors and formats with exact Fractions and a set of exponents, term
+by term, where the package works on integer grid indices.
 """
 
 import re
@@ -30,6 +31,27 @@ def coeffs_to_bits(coeffs) -> int:
         if c & 1:
             out |= 1 << j
     return out
+
+
+def _bitmap(indices) -> int:
+    indices = list(indices)
+    out = bytearray(max(indices, default=0) // 8 + 1)
+    for i in indices:
+        out[i >> 3] |= 1 << (i & 7)
+    return int.from_bytes(out, "little")
+
+
+def reference_spread(x: int, m: int) -> int:
+    """Bit j of x to bit m*j, one coefficient at a time."""
+    return _bitmap(m * j for j, c in enumerate(bits_to_coeffs(
+        x, x.bit_length())) if c)
+
+
+def reference_compress(x: int, m: int) -> int:
+    """Bit m*j of x to bit j, one coefficient at a time; bits off the
+    stride are dropped."""
+    return _bitmap(j for j, c in enumerate(bits_to_coeffs(
+        x, x.bit_length())[::m]) if c)
 
 
 def convolve_mod2(a, b, prec=None) -> list[int]:

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from fractions import Fraction as Q
 
 import pytest
@@ -94,10 +95,40 @@ class TestUnitMul:
             prod = unit_mul(u, v)
             want = term_product(unit_terms(u), unit_terms(v), prod.aprec)
             assert unit_terms(prod) == want
+        # grids and precisions both differ, (den, aprec) on each side
+        for (du, au), (dv, av) in (((1, 40), (12, 3)), ((2, 9), (3, 11)),
+                                   ((5, 1), (4, 6)), ((16, 3), (6, 2)),
+                                   ((7, 13), (1, 2))):
+            u = random_unit(rng, du, du * au)
+            v = random_unit(rng, dv, dv * av)
+            for a, b in ((u, v), (v, u)):
+                prod = unit_mul(a, b)
+                assert prod.aprec == min(au, av)
+                want = term_product(unit_terms(a), unit_terms(b), prod.aprec)
+                assert unit_terms(prod) == want
 
     def test_cap_enforced(self):
         with pytest.raises(DenominatorOverflow):
             unit_mul(U(5, 1, 1), U(7, 1, 1), den_cap=20)
+
+    def test_regrids_only_below_the_common_precision(self):
+        # the product is known only to O(x^(1)), where the dense body is
+        # just 1: spreading all of it onto the grid 1/65536 first would
+        # build a 1.3e8-bit intermediate
+        dense = U(1, (1 << 2000) - 1, 2000)
+        fine = U(1 << 16, 0b11, 1 << 16)
+        tracemalloc.start()
+        try:
+            prod = unit_mul(dense, fine)
+            agree = units_agree(dense, fine)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+        assert (prod.den, prod.body.coeffs, prod.body.prec) == (
+            fine.den, fine.body.coeffs, fine.body.prec)
+        assert not agree
+        assert units_agree(dense, PuiseuxUnit.one(1 << 16, 1 << 16))
 
 
 class TestUnitInv:

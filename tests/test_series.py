@@ -6,10 +6,12 @@ from hypothesis import strategies as st
 
 from f2puiseux import (EvenK, F2Series, NotAUnit, OddSupport, add, inv,
                        kth_root_odd, mul, pow_int, series, sqrt)
-from f2puiseux.bitops import _COMB_CUTOFF, clmul, spread
+from f2puiseux import bitops
+from f2puiseux.bitops import _COMB_CUTOFF, clmul, compress, spread
 
 from oracles import (bits_to_coeffs, coeffs_to_bits, convolve_mod2,
-                     linear_lift_root, schoolbook_inverse, series_product)
+                     linear_lift_root, reference_compress, reference_spread,
+                     schoolbook_inverse, series_product)
 
 
 def S(bits, prec):
@@ -179,17 +181,62 @@ class TestCarrylessKernel:
         assert clmul(a, b) == clmul_oracle(a, b)
 
 
+# bit lengths on either side of each power of two up to 2**12
+STRADDLE_WIDTHS = sorted({(1 << k) + d for k in range(1, 13)
+                          for d in (-1, 0, 1)})
+
+
+@st.composite
+def straddling_operand(draw):
+    width = draw(st.sampled_from(STRADDLE_WIDTHS))
+    return draw(st.integers(0, (1 << (width - 1)) - 1)) | 1 << (width - 1)
+
+
+class TestSpreadCompress:
+    """spread and compress carry all re-gridding; both must match the
+    per-bit references."""
+
+    def test_zero_and_one(self):
+        for m in range(1, 301):
+            for x in (0, 1):
+                assert spread(x, m) == reference_spread(x, m) == x
+                assert compress(x, m) == reference_compress(x, m) == x
+
+    @given(straddling_operand(), st.integers(1, 300))
+    @settings(max_examples=150, deadline=None)
+    def test_matches_reference(self, x, m):
+        wide = spread(x, m)
+        assert wide == reference_spread(x, m)
+        assert compress(wide, m) == x
+        # x itself is mostly off the stride: those bits are dropped
+        assert compress(x, m) == reference_compress(x, m)
+
+
 class TestSupportGcd:
     def test_matches_literal_gcd_fold(self):
         from math import gcd
         from f2puiseux.bitops import spread, support_gcd
         rng = random.Random(17)
+        cases = []
         for _ in range(800):
             prec = rng.randrange(1, 120)
             x = rng.getrandbits(prec)
             if rng.random() < 0.5:
                 x = spread(x, rng.choice((2, 3, 4, 6)))
             seed = rng.randrange(1, 400)
+            cases.append((x, seed))
+        # seeds of high multiplicity up to the den cap and a large prime,
+        # on operands of thousands of bits spread by a stride sharing
+        # factors with the seed, clean and with one bit off that stride
+        # on its largest proper divisor
+        for seed in (1 << 16, 3 ** 10, 2 ** 4 * 3 ** 2 * 5 * 7, 65521):
+            for m in (2, 3, 12, 48, 210, 1024, 2187, 5040, 65521):
+                x = spread(rng.getrandbits(6000 // m + 2) | 1, m)
+                sub = max(d for d in range(1, m) if m % d == 0)
+                cases.append((x, seed))
+                cases.append((x | 1 << (sub * rng.randrange(1, 99)), seed))
+            cases.append((rng.getrandbits(5000), seed))
+        for x, seed in cases:
             want, y = seed, x & ~1
             while y:
                 low = y & -y
@@ -202,6 +249,20 @@ class TestSupportGcd:
         assert support_gcd(1, 12) == 12   # bit 0 sits on every stride
         assert support_gcd(0, 9) == 9
         assert support_gcd(0b1000000, 12) == 6  # index 6: gcd(12, 6)
+
+    def test_one_stride_test_when_bit_one_is_set(self, monkeypatch):
+        # index 1 is off every stride > 1, so the first failed test ends
+        # the descent at 1 whatever the multiplicity of the seed
+        strides = []
+        real = bitops.spread
+
+        def counted(x, m):
+            strides.append(m)
+            return real(x, m)
+        monkeypatch.setattr(bitops, "spread", counted)
+        x = random.Random(19).getrandbits(4000) | 0b11
+        assert bitops.support_gcd(x, 1 << 16) == 1
+        assert strides == [1 << 16]
 
 
 class TestInv:
@@ -240,6 +301,23 @@ class TestSqrt:
     def test_odd_support_rejected(self):
         with pytest.raises(OddSupport):
             sqrt(S(0b11, 4))
+
+    def test_odd_top_bit_rejected(self):
+        # the only odd exponent is the last one below the precision
+        for prec in (2, 8, 64, 4096):
+            even = spread(random.Random(prec).getrandbits(prec // 2), 2)
+            with pytest.raises(OddSupport):
+                sqrt(S(even | 1 << (prec - 1), prec))
+
+    def test_odd_bit_one_of_long_operand_rejected(self):
+        even = spread(random.Random(37).getrandbits(5000), 2)
+        with pytest.raises(OddSupport):
+            sqrt(S(even | 0b10, 10 ** 4))
+
+    @pytest.mark.parametrize("prec", [1, 2, 3, 8, 9, 10 ** 4 + 1])
+    def test_zero(self, prec):
+        out = sqrt(S(0, prec))
+        assert out.coeffs == 0 and out.prec == (prec + 1) // 2
 
     @given(series_st)
     @settings(max_examples=40)
