@@ -22,16 +22,26 @@ the comb replaced fit 1.57-1.62.  The fit stays below 2 because the
 table's fixed cost weighs most at the small end of the sweep; it is
 not a sub-quadratic bound.
 
-Spreading and gathering are string-based, all linear time (CPython
-converts to and from power-of-two bases in linear time).  They carry
-all re-gridding: a body moves to an m-times finer grid by spread, back
-by compress, and x sits on the stride m iff spreading its compress
-gives x back.  support_gcd finds the coarsest stride dividing a seed by
-a gcd descent on that one test: from d = seed, each failed test names
-the lowest set bit off the stride, whose index i the answer divides, so
-d becomes gcd(d, i), a proper divisor; a passing test means d divides
-every index, so d is the answer.  The descent therefore takes at most
-one failed test per prime factor of the seed, counted with
+Spreading and compressing carry all re-gridding: a body moves to an
+m-times finer grid by spread and back by compress.  Both run the
+shift-and-mask cascade for a constant stride (Warren, Hacker's Delight,
+2nd ed., ch. 7): a body of at most 2**w bits on the coarse grid takes
+w rounds, each one shift, one OR and one AND on the whole int.  Round
+r uses the mask M_r(m, w) of the bits p < m * 2**w with
+p mod (m * 2**r) < 2**r; after spread's round r, bit j sits at
+m * (j - j mod 2**r) + j mod 2**r.  Masks are built by doubling a
+pattern, in time linear in their size, and held in one cache keyed by
+(m, w) and bounded by the bits it holds; a key whose masks would
+exceed the bound gets each mask built when its round needs it and
+dropped after.
+
+M_0(m, w) is the stride: x sits on the stride m exactly when
+x & ~M_0 is 0, one AND.  support_gcd finds the coarsest stride dividing
+a seed by a gcd descent on that one test: from d = seed, each failed
+test names the lowest set bit off the stride, whose index i the answer
+divides, so d becomes gcd(d, i), a proper divisor; a passing test means
+d divides every index, so d is the answer.  The descent therefore takes
+at most one failed test per prime factor of the seed, counted with
 multiplicity, and on a support that holds a small index, such as a
 random body with bit 1 set, the first failure ends it.
 """
@@ -44,6 +54,12 @@ from math import gcd
 # building its table is repaid; re-gridded operands are long but
 # sparse, so bit length would misjudge them
 _COMB_CUTOFF = 96
+
+# bits of re-gridding masks the cache may hold; it is cleared when a new
+# key would overfill it, and a key larger than the bound is never kept
+_MASK_BITS = 1 << 23
+_MASKS: dict[tuple[int, int], tuple[int, ...]] = {}
+_held_bits = 0
 
 
 def clmul(a: int, b: int) -> int:
@@ -92,35 +108,84 @@ def bit_indices(x: int):
         j = digits.find("1", j + 1)
 
 
+def _mask(m: int, w: int, r: int) -> int:
+    """M_r(m, w), by doubling its 2**r low bits out to m * 2**w bits."""
+    mask, span = (1 << (1 << r)) - 1, m << r
+    for _ in range(w - r):
+        mask |= mask << span
+        span <<= 1
+    return mask
+
+
+class _Unkept:
+    """The masks of a key too large for the cache, each built when its
+    round reads it and dropped after."""
+
+    def __init__(self, m: int, w: int):
+        self.m, self.w = m, w
+
+    def __getitem__(self, r: int) -> int:
+        return _mask(self.m, self.w, r)
+
+
+def _masks(m: int, w: int):
+    """M_0..M_w of the key (m, w), from the cache when they fit its bound."""
+    global _held_bits
+    masks = _MASKS.get((m, w))
+    if masks is None:
+        bits = (w + 1) * (m << w)
+        if bits > _MASK_BITS:
+            return _Unkept(m, w)
+        if _held_bits + bits > _MASK_BITS:
+            _MASKS.clear()
+            _held_bits = 0
+        masks = _MASKS[m, w] = tuple(_mask(m, w, r) for r in range(w + 1))
+        _held_bits += bits
+    return masks
+
+
+def _stride_mask(m: int, n: int) -> int:
+    """M_0 for an n-bit body: the bits on the stride m."""
+    return _masks(m, ((n - 1) // m).bit_length())[0]
+
+
 def spread(x: int, m: int) -> int:
     """Move bit j to bit m*j (re-grid onto an m-times finer exponent grid)."""
     if m == 1 or x == 0:
         return x
-    return int(("0" * (m - 1)).join(bin(x)[2:]), 2)
+    w = (x.bit_length() - 1).bit_length()
+    masks = _masks(m, w)
+    for r in range(w - 1, -1, -1):
+        x = (x | x << ((m - 1) << r)) & masks[r]
+    return x
 
 
 def compress(x: int, m: int) -> int:
     """Move bit m*j to bit j, discarding bits off the stride.
 
-    Inverse of spread on its image; x is on the stride m exactly when
-    spread(compress(x, m), m) == x, which is how callers needing
-    exactness check it.
+    Inverse of spread on its image: spread's cascade run backwards, after
+    the stride mask M_0 has dropped the bits off the stride.
     """
     if m == 1 or x == 0:
         return x
-    return int(bin(x)[:1:-1][0::m][::-1], 2)
+    w = ((x.bit_length() - 1) // m).bit_length()
+    masks = _masks(m, w)
+    x &= masks[0]
+    for r in range(w):
+        x = (x | x >> ((m - 1) << r)) & masks[r + 1]
+    return x
 
 
 def support_gcd(x: int, seed: int) -> int:
     """Largest divisor of seed dividing every set-bit index of x.
 
-    A gcd descent on linear-time stride tests (see the module
-    docstring), so the cost does not grow with the number of set bits.
-    Bit 0 sits on every stride; x = 0 imposes no constraint.
+    A gcd descent on one-AND stride tests (see the module docstring),
+    so the cost does not grow with the number of set bits.  Bit 0 sits
+    on every stride; x = 0 imposes no constraint.
     """
-    d = seed
+    d, n = seed, x.bit_length()
     while d > 1:
-        off = x ^ spread(compress(x, d), d)
+        off = x & ~_stride_mask(d, n)
         if not off:
             break
         d = gcd(d, (off & -off).bit_length() - 1)

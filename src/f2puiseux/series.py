@@ -23,7 +23,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .bitops import bit_indices, clmul, compress, spread, trunc_bits
+from .bitops import (bit_indices, clmul, compress, spread, support_gcd,
+                     trunc_bits)
 from .errors import EvenK, NotAUnit, OddSupport
 
 
@@ -95,10 +96,9 @@ def sqrt(a: F2Series) -> F2Series:
 
     The result is known modulo t**ceil(prec/2).
     """
-    root = compress(a.coeffs, 2)
-    if spread(root, 2) != a.coeffs:
+    if support_gcd(a.coeffs, 2) < 2:
         raise OddSupport("series has a nonzero coefficient at an odd exponent")
-    return F2Series(root, (a.prec + 1) // 2)
+    return F2Series(compress(a.coeffs, 2), (a.prec + 1) // 2)
 
 
 def kth_root_odd(a: F2Series, k: int) -> F2Series:

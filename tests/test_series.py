@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 from f2puiseux import (EvenK, F2Series, NotAUnit, OddSupport, add, inv,
                        kth_root_odd, mul, pow_int, series, sqrt)
 from f2puiseux import bitops
+from f2puiseux.puiseux import DEFAULT_DEN_CAP
 from f2puiseux.bitops import _COMB_CUTOFF, clmul, compress, spread
 
 from oracles import (bits_to_coeffs, coeffs_to_bits, convolve_mod2,
@@ -212,6 +214,122 @@ class TestSpreadCompress:
         assert compress(x, m) == reference_compress(x, m)
 
 
+# the per-bit references are quadratic in the width, so wide operands are
+# checked against them a slice at a time
+SLICE = 1024
+
+
+def low(x, n):
+    return x & ((1 << n) - 1)
+
+
+def operand(rng, width):
+    return rng.getrandbits(width) | 1 << (width - 1) | 1
+
+
+class TestSpreadCompressWide:
+    """The cascade beyond the widths and strides hypothesis draws."""
+
+    @pytest.mark.parametrize("m", [2, 3, 12])
+    @pytest.mark.parametrize("k", range(13, 18))
+    def test_widths_around_powers_of_two(self, k, m):
+        rng = random.Random(k * 1000 + m)
+        for width in ((1 << k) - 1, 1 << k, (1 << k) + 1):
+            x = operand(rng, width)
+            wide = spread(x, m)
+            assert wide.bit_length() == m * (width - 1) + 1
+            for a in range(0, width, SLICE):
+                assert (low(wide >> m * a, m * SLICE)
+                        == reference_spread(low(x >> a, SLICE), m))
+            assert compress(wide, m) == x
+            # x itself is mostly off the stride
+            narrow = compress(x, m)
+            assert narrow.bit_length() <= -(-width // m)
+            for b in range(0, -(-width // m), SLICE):
+                assert (low(narrow >> b, SLICE)
+                        == reference_compress(low(x >> m * b, m * SLICE), m))
+
+    def test_narrow_bodies_at_the_den_cap(self):
+        m = DEFAULT_DEN_CAP
+        rng = random.Random(41)
+        widths = sorted({*range(1, 10), 100, 300}
+                        | {(1 << k) + d for k in range(4, 9)
+                           for d in (-1, 0, 1)})
+        for width in widths:
+            x = operand(rng, width)
+            wide = spread(x, m)
+            assert wide == reference_spread(x, m)
+            assert compress(wide, m) == x
+            # every bit off the stride is dropped
+            stride = reference_spread((1 << width) - 1, m)
+            noise = rng.getrandbits(wide.bit_length()) & ~stride
+            assert compress(wide | noise, m) == x
+
+
+class TestMaskCache:
+    def held(self):
+        return sum(mask.bit_length() for masks in bitops._MASKS.values()
+                   for mask in masks)
+
+    def test_bounded_and_exact_past_the_bound(self, monkeypatch):
+        monkeypatch.setattr(bitops, "_MASKS", {})
+        monkeypatch.setattr(bitops, "_held_bits", 0)
+        rng = random.Random(43)
+        sizes = []
+
+        def within_bound():
+            assert self.held() <= bitops._MASK_BITS
+            sizes.append(len(bitops._MASKS))
+        # each key (m, 10) holds 11 masks of m * 1024 bits, so a few
+        # fill the cache and it is cleared several times over
+        for m in rng.sample(range(60, 300), 24) * 2:
+            x = operand(rng, rng.randrange(513, 1025))
+            wide = spread(x, m)
+            within_bound()
+            assert wide == reference_spread(x, m)
+            assert compress(wide, m) == x
+            within_bound()
+            assert compress(x, m) == reference_compress(x, m)
+            within_bound()
+        assert sum(b < a for a, b in zip(sizes, sizes[1:])) >= 4
+
+    def test_key_past_the_bound_is_not_kept(self, monkeypatch):
+        monkeypatch.setattr(bitops, "_MASKS", {})
+        monkeypatch.setattr(bitops, "_held_bits", 0)
+        x = operand(random.Random(47), 2048)
+        wide = spread(x, 4096)
+        assert compress(wide, 4096) == x
+        assert bitops.support_gcd(wide, 4096) == 4096
+        assert (4096, 11) not in bitops._MASKS
+        assert self.held() == 0
+        assert spread(x, 3) == reference_spread(x, 3)
+        assert (3, 11) in bitops._MASKS
+
+
+class TestSpreadCompressMemory:
+    # tracemalloc peaks of the string-based spread and compress these
+    # replaced (one run each, Python 3.11): a 2048-bit body at m = 4096
+    # took 9.1 and 16.0 MiB, a 256-bit body at m = 2**16 took 18.1 and
+    # 31.9 MiB; all masks of a key built at once took 13.9 and 21.3 MiB
+    # for spread
+    @pytest.mark.parametrize("width, m, spread_mib, compress_mib",
+                             [(2048, 4096, 9.1, 16.0),
+                              (256, 1 << 16, 18.1, 31.9)])
+    def test_peaks_at_the_den_cap_corners(self, width, m, spread_mib,
+                                          compress_mib):
+        x = operand(random.Random(width), width)
+        wide = spread(x, m)
+        for f, arg, limit in ((spread, x, spread_mib),
+                              (compress, wide, compress_mib)):
+            tracemalloc.start()
+            try:
+                f(arg, m)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak < limit * 2 ** 20
+
+
 class TestSupportGcd:
     def test_matches_literal_gcd_fold(self):
         from math import gcd
@@ -254,12 +372,12 @@ class TestSupportGcd:
         # index 1 is off every stride > 1, so the first failed test ends
         # the descent at 1 whatever the multiplicity of the seed
         strides = []
-        real = bitops.spread
+        real = bitops._stride_mask
 
-        def counted(x, m):
+        def counted(m, n):
             strides.append(m)
-            return real(x, m)
-        monkeypatch.setattr(bitops, "spread", counted)
+            return real(m, n)
+        monkeypatch.setattr(bitops, "_stride_mask", counted)
         x = random.Random(19).getrandbits(4000) | 0b11
         assert bitops.support_gcd(x, 1 << 16) == 1
         assert strides == [1 << 16]
