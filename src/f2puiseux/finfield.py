@@ -14,11 +14,18 @@ cyclic group of order q - 1 and checks element orders directly,
 deliberately avoiding the "q - 1 is prime" shortcut so the scan can
 confront the two.  Primality of Mersenne candidates is likewise
 checked twice, by trial division and by the Lucas-Lehmer sequence.
+
+`prime_power_scan` walks the primes of one sieve in ascending order
+and merges in the few proper powers p**n (n >= 2, so p <= sqrt(q_max)).
+Both routes return the "no" and the trivial answer as shared frozen
+values, and `is_prime` reads a number inside the sieve in one step, so
+a row costs little beyond its two verdicts.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain, compress
 from math import isqrt
 
 from .errors import OutOfRange
@@ -33,7 +40,8 @@ def _grow_sieve(limit: int) -> None:
     global _sieve
     if limit < len(_sieve):
         return
-    size = max(limit + 1, 2 * len(_sieve), 1 << 11)
+    # never past the desk limit, so any index below len(_sieve) is in range
+    size = min(max(limit + 1, 2 * len(_sieve), 1 << 11), _DESK_LIMIT + 1)
     table = bytearray(b"\x01") * size
     table[0:2] = b"\x00\x00"
     for i in range(2, isqrt(size - 1) + 1):
@@ -44,6 +52,8 @@ def _grow_sieve(limit: int) -> None:
 
 def is_prime(n: int) -> bool:
     """Deterministic primality at desk scale (sieve-backed trial table)."""
+    if 1 < n < len(_sieve):
+        return _sieve[n] == 1
     if n < 2:
         return False
     if n > _DESK_LIMIT:
@@ -132,6 +142,11 @@ class FqVerdict:
     dim: int | None = None
 
 
+# frozen, so every route returns these two answers as shared values
+_NO = FqVerdict(False)
+_TRIVIAL = FqVerdict(True, None, 0)
+
+
 def _smallest_prime_factor(n: int) -> int:
     if n % 2 == 0:
         return 2
@@ -147,12 +162,12 @@ def linear_space_verdict(pp: PrimePower) -> FqVerdict:
     """Closed-form rule: trivial group, order 2, or Mersenne order."""
     q = pp.q
     if q == 2:
-        return FqVerdict(True, None, 0)
+        return _TRIVIAL
     if q == 3:
         return FqVerdict(True, 2, 1)
     if pp.p == 2 and mersenne_exponent(q - 1) is not None:
         return FqVerdict(True, q - 1, 1)
-    return FqVerdict(False)
+    return _NO
 
 
 def elementary_abelian_oracle(pp: PrimePower, *,
@@ -172,17 +187,17 @@ def elementary_abelian_oracle(pp: PrimePower, *,
         raise OutOfRange(f"q = {q} exceeds the oracle bound {bound}")
     order = q - 1
     if order == 1:
-        return FqVerdict(True, None, 0)
+        return _TRIVIAL
     p2 = _smallest_prime_factor(order)
     m, rest = 0, order
     while rest % p2 == 0:
         rest //= p2
         m += 1
     if rest != 1:
-        return FqVerdict(False)  # two distinct primes divide the order
+        return _NO  # two distinct primes divide the order
     for a in range(order):
         if (a * p2) % order:
-            return FqVerdict(False)  # element of order not dividing p'
+            return _NO  # element of order not dividing p'
     return FqVerdict(True, p2, m)
 
 
@@ -196,19 +211,18 @@ def prime_power_scan(q_max: int, *, include_oracle: bool = True
         raise OutOfRange(
             f"q_max = {q_max} exceeds the desk-scale limit {_DESK_LIMIT}")
     _grow_sieve(q_max)
-    rows = []
-    for p in range(2, q_max + 1):
-        if not _sieve[p]:
-            continue
-        q, n = p, 1
+    # the proper powers p**n (n >= 2) have p <= isqrt(q_max) and are
+    # few; one merge puts them among the ascending primes
+    powers = {}
+    for p in compress(range(isqrt(q_max) + 1), _sieve):
+        q, n = p * p, 2
         while q <= q_max:
-            rows.append((q, p, n))
+            powers[q] = (p, n)
             q *= p
             n += 1
-    rows.sort()
     out = []
-    for q, p, n in rows:
-        pp = PrimePower(p, n)
+    for q in sorted(chain(compress(range(q_max + 1), _sieve), powers)):
+        pp = PrimePower(*powers[q]) if q in powers else PrimePower(q, 1)
         verdict = linear_space_verdict(pp)
         oracle = elementary_abelian_oracle(pp) if include_oracle else None
         out.append((pp, verdict, oracle))

@@ -6,9 +6,12 @@ fractions, and products are schoolbook convolutions.  The inverse and
 the linear-lift root finder fix one coefficient at a time straight from
 the defining equation, with no Newton step anywhere.  The reference
 spread and compress move one coefficient at a time, where the package
-re-grids whole binary strings.  The reference text codec parses,
-factors and formats with exact Fractions and a set of exponents, term
-by term, where the package works on integer grid indices.
+re-grids a whole body at once with shift-and-mask rounds.  The
+reference text codec parses, factors and formats with exact Fractions
+and a set of exponents, term by term, where the package works on
+integer grid indices.  The reference prime-power scan factors every
+integer by trial division and builds each row's verdicts afresh, where
+the package walks its sieve and shares the verdict values.
 """
 
 import re
@@ -16,9 +19,9 @@ from fractions import Fraction
 from math import lcm
 
 from f2puiseux import (DenominatorOverflow, ElementSyntaxError,
-                       ExponentNotIncreasing, F2Series, Indistinguishable,
-                       L0Element, NonpositivePrecision, NonUnitLeadingTerm,
-                       PuiseuxUnit, pow_int)
+                       ExponentNotIncreasing, F2Series, FqVerdict,
+                       Indistinguishable, L0Element, NonpositivePrecision,
+                       NonUnitLeadingTerm, PrimePower, PuiseuxUnit, pow_int)
 
 
 def bits_to_coeffs(bits: int, prec: int) -> list[int]:
@@ -251,3 +254,57 @@ def reference_format_unit(u):
         terms.append(f"x^({Fraction(low.bit_length() - 1, u.den)})")
         x ^= low
     return " + ".join(terms) + f" + O(x^({u.aprec}))"
+
+
+# ---------------------------------------------------------------------------
+# reference finite-field scan
+
+def _trial_factor(n: int) -> tuple[int, int] | None:
+    """(p, e) with n == p**e for a prime p, by trial division, or None."""
+    p = 2
+    while p * p <= n and n % p:
+        p += 1
+    if p * p > n:
+        return n, 1
+    e = 0
+    while n % p == 0:
+        n //= p
+        e += 1
+    return (p, e) if n == 1 else None
+
+
+def reference_prime_power_scan(q_max: int, *, include_oracle: bool = True):
+    """prime_power_scan from every integer 2..q_max in turn.
+
+    Each q is factored by trial division.  The verdict is the closed-form
+    rule with q - 1 tested by trial division, and the oracle column reads
+    the group's exponent: Z/(q-1) has exponent q - 1, so it is
+    elementary abelian exactly when q - 1 is 1 or prime.  Every row gets
+    new FqVerdict values.
+    """
+    rows = []
+    for q in range(2, q_max + 1):
+        factors = _trial_factor(q)
+        if factors is None:
+            continue
+        p, n = factors
+        order = q - 1
+        order_prime = order > 1 and _trial_factor(order) == (order, 1)
+        if q == 2:
+            verdict = FqVerdict(True, None, 0)
+        elif q == 3:
+            verdict = FqVerdict(True, 2, 1)
+        elif p == 2 and order_prime:
+            verdict = FqVerdict(True, order, 1)
+        else:
+            verdict = FqVerdict(False)
+        oracle = None
+        if include_oracle:
+            if order == 1:
+                oracle = FqVerdict(True, None, 0)
+            elif order_prime:
+                oracle = FqVerdict(True, order, 1)
+            else:
+                oracle = FqVerdict(False)
+        rows.append((PrimePower(p, n), verdict, oracle))
+    return rows

@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 import os
@@ -189,6 +190,21 @@ class TestFqScan:
         _, err = proc.communicate(timeout=60)
         assert proc.returncode != 0
         assert b"Traceback" not in err
+
+    # sha256 of the stdout of `fq-scan --max 65536 --oracle`, captured
+    # from the scan that sorted a row tuple for every prime power found
+    # by a loop over all integers
+    @pytest.mark.parametrize("fmt, digest", [
+        ("text",
+         "f2d3d545cecb3ecec35f07da8f73291d730c7f183b0b613b2e04e14648b4adb3"),
+        ("records",
+         "04097d490d18f4d29ec8e5ed86294e58076c0c6069d2b5da3731ad788403d660"),
+    ], ids=["text", "records"])
+    def test_full_scan_output_pinned(self, capsys, fmt, digest):
+        code, out, err = run(capsys, "fq-scan", "--max", "65536", "--oracle",
+                             "--format", fmt)
+        assert (code, err) == (0, "")
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_installed_entry_point_runs():

@@ -1,5 +1,7 @@
 import pytest
 
+from oracles import reference_prime_power_scan
+
 from f2puiseux import finfield
 from f2puiseux import (FqVerdict, OutOfRange, PrimePower,
                        elementary_abelian_oracle, linear_space_verdict,
@@ -135,3 +137,53 @@ class TestScan:
         with pytest.raises(OutOfRange):
             prime_power_scan(finfield._DESK_LIMIT + 1, include_oracle=False)
         assert len(finfield._sieve) == size
+
+
+class TestSieveCap:
+    # one doubling past 2^22 - 20 used to build a table of 8 388 570
+    # bytes, twice what the desk limit needs
+    @pytest.fixture
+    def grown(self, monkeypatch):
+        monkeypatch.setattr(finfield, "_sieve",
+                            bytearray(b"\x00\x00\x01\x01"))
+        finfield._grow_sieve(finfield._DESK_LIMIT - 20)
+        finfield._grow_sieve(finfield._DESK_LIMIT)
+
+    def test_growth_stops_at_the_desk_limit(self, grown):
+        assert len(finfield._sieve) <= finfield._DESK_LIMIT + 1
+
+    def test_above_the_desk_limit_still_raises(self, grown):
+        # is_prime answers from the table for any index inside it
+        assert finfield.is_prime(finfield._DESK_LIMIT - 3)
+        with pytest.raises(OutOfRange):
+            finfield.is_prime(finfield._DESK_LIMIT + 1)
+
+
+class TestScanAgainstReference:
+    """The scan walks the sieve's primes, merges in the proper powers and
+    shares verdict values; the reference factors every integer in turn
+    and builds each row afresh.  Each test starts from the smallest
+    sieve, so the scans also grow it on the way."""
+
+    @pytest.fixture(autouse=True)
+    def fresh_sieve(self, monkeypatch):
+        monkeypatch.setattr(finfield, "_sieve",
+                            bytearray(b"\x00\x00\x01\x01"))
+
+    @pytest.mark.parametrize("include_oracle", [True, False])
+    def test_matches_reference(self, include_oracle):
+        # every q_max to 600, then around the powers of 2 and 3
+        edges = {(1 << k) + d for k in range(15) for d in (-1, 0, 1)}
+        edges |= {3 ** 8 - 1, 3 ** 8 + 1, *range(2, 601)}
+        for q_max in sorted(e for e in edges if e >= 2):
+            assert (prime_power_scan(q_max, include_oracle=include_oracle)
+                    == reference_prime_power_scan(
+                        q_max, include_oracle=include_oracle)), q_max
+
+    def test_verdict_values_shared(self):
+        rows = prime_power_scan(4096)
+        answers = [v for _, verdict, oracle in rows for v in (verdict, oracle)]
+        no = {id(v) for v in answers if not v.is_space}
+        trivial = {id(v) for v in answers if v.dim == 0}
+        assert len(no) == 1 and len(trivial) == 1
+        assert sum(not v.is_space for v in answers) > 1000
