@@ -24,7 +24,7 @@ a row costs little beyond its two verdicts.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import chain, compress
 from math import isqrt
 
@@ -101,16 +101,17 @@ class PrimePower:
 
     p: int
     n: int
+    # computed once, since both verdict routes read it; a prime keeps
+    # p's int object, which spares a scan one int per row
+    q: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.n < 1:
             raise ValueError(f"exponent must be >= 1, got {self.n}")
         if not is_prime(self.p):
             raise ValueError(f"{self.p} is not prime")
-
-    @property
-    def q(self) -> int:
-        return self.p ** self.n
+        object.__setattr__(self, "q", self.p ** self.n if self.n > 1
+                           else self.p)
 
     @classmethod
     def from_q(cls, q: int) -> "PrimePower":

@@ -21,10 +21,12 @@ Values are immutable and every operation is a pure function.
 
 from __future__ import annotations
 
-from collections import Counter
+from collections import Counter, deque
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import repeat
 from math import gcd, lcm
+from operator import floordiv, sub
 from typing import Iterable, Union
 
 from . import series
@@ -234,44 +236,41 @@ def decompose_raw(exponents: Iterable[RationalLike], aprec: RationalLike, *,
     least surviving exponent becomes the valuation and is divided out.
     """
     aprec = Fraction(aprec)
-    terms = []
+    exps = []
     for e in exponents:
         e = Fraction(e)
         if e >= aprec:
             raise ValueError(
                 f"term x^({e}) lies at or beyond the precision O(x^({aprec}))")
-        terms.append((e.numerator, e.denominator))
-    return _factor(terms, aprec.numerator, aprec.denominator, den_cap)
+        exps.append(e)
+    # every exponent is an index on the grid 1/big; repeats cancel by parity
+    big = lcm(aprec.denominator, *{e.denominator for e in exps})
+    counts = Counter([e.numerator * (big // e.denominator) for e in exps])
+    return _factor(sorted(i for i, c in counts.items() if c & 1), big,
+                   aprec.numerator * (big // aprec.denominator), den_cap)
 
 
-def _factor(terms: list[tuple[int, int]], prec_num: int, prec_den: int,
+def _factor(indices: list[int], big: int, prec: int,
             den_cap: int | None) -> L0Element:
-    # The integer core of decompose_raw and the parser.  Terms are
-    # reduced (num, den) exponent pairs below the reduced precision
-    # prec_num/prec_den.  Every exponent is an index on the grid 1/big,
-    # big the lcm of all denominators; repeats cancel by parity.  The
-    # minimal grid of the unit divides big by the gcd of big, the
-    # indices relative to the valuation and the relative precision.
-    dens = {d for _, d in terms}
-    big = lcm(prec_den, *dens)
-    scale = {d: big // d for d in dens}
-    counts = Counter([n * scale[d] for n, d in terms])
-    support = [i for i, c in counts.items() if c & 1]
-    if not support:
+    # The integer core of decompose_raw and the parser.  The indices
+    # ascend strictly on the grid 1/big, below the precision index
+    # prec; the lowest is the valuation.  The minimal grid of the unit
+    # divides big by the gcd of big, the indices relative to the
+    # valuation and the relative precision.  The den cap is checked
+    # before the bitmap is built; the bitmap is written as a base-2
+    # numeral, one byte per grid step, so one C-level pass sets its bits.
+    if not indices:
         raise Indistinguishable(
             "all coefficients within precision are zero")
-    low = min(support)
-    rel = [i - low for i in support]
-    rel_prec = prec_num * (big // prec_den) - low
-    g = gcd(big, rel_prec, *rel)
+    low, high = indices[0], indices[-1]
+    g = gcd(big, prec - low, *map(sub, indices, repeat(low)))
     den = big // g
     _check_den(den, den_cap)
-    buf = bytearray(max(rel) // g // 8 + 1)
-    for i in rel:
-        j = i // g
-        buf[j >> 3] |= 1 << (j & 7)
-    unit = PuiseuxUnit(den, F2Series(int.from_bytes(buf, "little"),
-                                     rel_prec // g))
+    digits = bytearray(b"0") * ((high - low) // g + 1)  # high bit first
+    deque(map(digits.__setitem__,
+              map(floordiv, map(sub, repeat(high), indices), repeat(g)),
+              repeat(ord("1"))), 0)
+    unit = PuiseuxUnit(den, F2Series(int(digits, 2), (prec - low) // g))
     return L0Element(Fraction(low, big), unit)
 
 

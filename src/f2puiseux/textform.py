@@ -15,11 +15,18 @@ formatting is idempotent and formatting followed by parsing is the
 identity.
 
 The codec works on integer grid indices, in time linear in the number
-of terms.  Parsing reads each exponent as a reduced (num, den) pair,
-checks order and precision by cross-multiplying, and factors the terms
-on one common grid, as puiseux.decompose_raw does.  Formatting renders
-bit j of a unit body on the grid 1/den as j/den, reduced by one gcd.
-Fractions are built only for the valuation and for error texts.
+of terms.  Parsing reads well-formed text in a few whole-text passes at
+C speed: one regex split checks every term and cuts out its numerals,
+int() converts the numerators, and each denominator numeral is
+converted once.  An exponent n/d becomes the index n * (big // d) on
+the grid 1/big, big the lcm of all denominators, so an unreduced
+fraction lands where its reduced form does; one pass checks that the
+indices increase and one comparison bounds them by the precision.  Text
+that fails any of this is read again one term at a time, and that
+reader raises the positioned error of the first bad term.  The indices
+are factored by the core that puiseux.decompose_raw uses.  Formatting
+renders bit j of a unit body on the grid 1/den as j/den, reduced by one
+gcd.  Fractions are built only for the valuation and for error texts.
 """
 
 from __future__ import annotations
@@ -27,7 +34,9 @@ from __future__ import annotations
 import re
 import sys
 from fractions import Fraction
-from math import gcd
+from itertools import islice
+from math import gcd, lcm
+from operator import lt, mul
 
 from .bitops import bit_indices
 from .errors import (ElementSyntaxError, ExponentNotIncreasing,
@@ -35,17 +44,23 @@ from .errors import (ElementSyntaxError, ExponentNotIncreasing,
 from .puiseux import (DEFAULT_DEN_CAP, L0Element, PuiseuxUnit, Rational,
                       _factor, compose)
 
-_EXPONENT = r"(?:\((-?\d+)(?:/(\d+))?\)|(-?\d+))"
-_X_TERM = re.compile(rf"x\^{_EXPONENT}\Z")
-_O_TERM = re.compile(rf"O\(x\^{_EXPONENT}\)\Z")
+# x^n, x^(n) or x^(n/d): group 1 is the parenthesis, 2 the numerator
+# and 3 the denominator, which only a parenthesized exponent may have
+_EXPONENT = r"x\^(\()?(-?\d+)(?(1)(?:/(\d+))?\))"
+_X_TERM = re.compile(rf"{_EXPONENT}\Z")
 _RATIONAL = re.compile(r"(-?\d+)(?:/(\d+))?\Z")
+# the bulk reader splits at every term with the "+" after it, which
+# leaves the O(.) term, read by _TAIL in both readers
+_BODY_TERM = re.compile(rf"(?:1|{_EXPONENT})\s*\+\s*")
+_TAIL = re.compile(rf"O\({_EXPONENT}\)\s*")
 
 
 def _too_long(m: re.Match, offset: int) -> ElementSyntaxError:
     # int() refuses more digits than sys.get_int_max_str_digits(); blame
-    # the first numeral converted, a denominator before its numerator
+    # the first numeral converted, a denominator (the last group) before
+    # its numerator
     limit = sys.get_int_max_str_digits()
-    group = next(g for g in (2, 1, 3)[:m.re.groups]
+    group = next(g for g in (m.re.groups, m.re.groups - 1)
                  if len((m.group(g) or "").lstrip("-")) > limit)
     digits = len(m.group(group).lstrip("-"))
     return ElementSyntaxError(
@@ -72,24 +87,67 @@ def parse_rational(text: str, position: int = 0) -> Rational:
 
 
 def _exponent(m: re.Match, position: int) -> tuple[int, int]:
-    """The exponent of a matched term as a reduced (num, den) pair."""
-    num, den, bare = m.groups()
+    """The exponent of a matched term as a (num, den) pair, den > 0."""
+    _, num, den = m.groups()
     try:
-        if den is None:
-            return int(bare if num is None else num), 1
-        den = int(den)
+        den = 1 if den is None else int(den)
         num = int(num) if den else 0  # a zero denominator is reported first
     except ValueError:
         raise _too_long(m, position) from None
     if den == 0:
         raise ElementSyntaxError("zero denominator in exponent", position)
-    g = gcd(num, den)
-    return num // g, den // g
+    return num, den
 
 
-def parse_element(s: str, *,
-                  den_cap: int | None = DEFAULT_DEN_CAP) -> L0Element:
-    """Parse element text into its canonical factored form."""
+def _read_bulk(s: str):
+    """(valuation or None, big, grid indices on 1/big, precision index)
+    of well-formed text, or None for anything else.
+
+    Whole-text passes: one regex split checks every term and cuts out
+    its numerals, int() converts the numerators, and the denominators
+    are converted once per distinct numeral.  An unreduced n/d lands on
+    the same index as its reduced form, so no term needs a gcd.
+    """
+    head, star, body = s.partition("*")
+    if not star:
+        body = head
+    # per term: the text before it (empty when the terms are adjacent),
+    # then its three groups; the O(.) term is the text after the last
+    parts = _BODY_TERM.split(body.lstrip())
+    tail = _TAIL.fullmatch(parts[-1])
+    if tail is None or len(parts) == 1 or any(parts[:-1:4]):
+        return None
+    nums = parts[2::4]
+    dens = parts[3::4]
+    del parts  # four entries per term: free them before converting
+    val = None
+    try:
+        if star:
+            mh = _X_TERM.match(head.strip())
+            if mh is None or nums[0] is not None:  # the unit starts with 1
+                return None
+            val = Fraction(*_exponent(mh, 0))
+        pn, pd = _exponent(tail, 0)
+        if None in nums:  # the term 1, read as x^0
+            nums[nums.index(None)] = "0"
+        den_of = {d: 1 if d is None else int(d) for d in set(dens)}
+        big = lcm(pd, *den_of.values())
+        scale = {d: big // n for d, n in den_of.items()}
+        indices = list(map(mul, map(int, nums), map(scale.__getitem__, dens)))
+    except (ValueError, TypeError, ZeroDivisionError):
+        # an over-long numeral, a second 1 or a zero denominator: errors
+        # the per-term reader reports
+        return None
+    prec = pn * (big // pd)
+    if indices[-1] >= prec or not all(map(lt, indices,
+                                          islice(indices, 1, None))):
+        return None
+    return val, big, indices, prec
+
+
+def _read_terms(s: str):
+    """What _read_bulk returns, read one term at a time; raises the
+    positioned error of the first term that breaks the grammar."""
     # "+" never occurs inside exponent parentheses, so a flat split is exact
     parts = []
     off = 0
@@ -106,7 +164,7 @@ def parse_element(s: str, *,
             parts[-1][0] if parts else 0)
 
     o_pos, o_text = parts[-1]
-    m = _O_TERM.match(o_text)
+    m = _TAIL.fullmatch(o_text)
     if m is None:
         raise ElementSyntaxError(
             f"expected precision marker O(x^(P)), got {o_text!r}", o_pos)
@@ -152,7 +210,17 @@ def parse_element(s: str, *,
         terms.append((n, d))
         last_n, last_d = n, d
 
-    element = _factor(terms, pn, pd, den_cap)
+    big = lcm(pd, *{d for _, d in terms})
+    return val, big, [n * (big // d) for n, d in terms], pn * (big // pd)
+
+
+def parse_element(s: str, *,
+                  den_cap: int | None = DEFAULT_DEN_CAP) -> L0Element:
+    """Parse element text into its canonical factored form."""
+    # text the bulk reader rejects is read again term by term, which
+    # raises the error of the first bad term
+    val, big, indices, prec = _read_bulk(s) or _read_terms(s)
+    element = _factor(indices, big, prec, den_cap)
     if val is not None:
         element = compose(val + element.val, element.unit)
     return element

@@ -14,9 +14,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from f2puiseux import (DenominatorOverflow, ElementSyntaxError, F2Series,
-                       Indistinguishable, ParseError, PuiseuxUnit, compose,
-                       decompose_raw, format_unit, parse_element)
+from f2puiseux import (DenominatorOverflow, ElementSyntaxError,
+                       ExponentNotIncreasing, F2Series, Indistinguishable,
+                       ParseError, PuiseuxUnit, compose, decompose_raw,
+                       format_unit, parse_element, textform)
 from f2puiseux.textform import parse_rational
 from oracles import (reference_decompose_raw, reference_format_unit,
                      reference_parse_element)
@@ -273,3 +274,160 @@ class TestLongNumerals:
         with pytest.raises(ElementSyntaxError) as info:
             parse_rational(text.format("1" * 5000))
         assert info.value.position == offset
+
+
+# ---------------------------------------------------------------------------
+# long texts: the bulk reader, and its fallback to the per-term reader
+
+# separators with more of the blanks that str.strip() removes
+WIDE_SEPARATORS = SEPARATORS + ("\t+\n", "\n+ ", " +\u00a0",
+                                "\u2003+\u2003", "\u00a0+\t")
+WIDE_HEAD_SEPARATORS = HEAD_SEPARATORS + ("\t*\n", "\u00a0*\u2003")
+ARABIC_INDIC = str.maketrans("0123456789",
+                             "\u0660\u0661\u0662\u0663\u0664"
+                             "\u0665\u0666\u0667\u0668\u0669")
+
+
+def _long_parts(rng, form, terms):
+    """Terms of a text with about `terms` exponents on mixed grids; a raw
+    sum holds the term 1 after its negative exponents."""
+    def power(e):
+        text = _exponent_text(rng, e)
+        # Unicode decimal digits are digits to the grammar and to int()
+        return text.translate(ARABIC_INDIC) if rng.random() < 0.05 else text
+
+    exps = sorted({Q(n, rng.choice(DENS))
+                   for n in rng.sample(range(-terms, terms), terms)}
+                  | {Q(0)})
+    prec = exps[-1] + Q(rng.randint(1, 24), rng.choice(DENS))
+    if form == "raw":
+        return ([("1" if e == 0 else power(e)) for e in exps]
+                + [f"O({power(prec)})"])
+    v = exps[0]
+    head = "1"
+    if form == "factored":
+        head = f"{power(v)}{rng.choice(WIDE_HEAD_SEPARATORS)}1"
+    return ([head] + [power(e - v) for e in exps[1:]]
+            + [f"O({power(prec - v)})"])
+
+
+def _join_wide(rng, parts):
+    out = [rng.choice(("", " ", "\n")), parts[0]]
+    for p in parts[1:]:
+        out += [rng.choice(WIDE_SEPARATORS), p]
+    out.append(rng.choice(("", "\t", "\u2003")))
+    return "".join(out)
+
+
+def _numeral_position(text, numeral):
+    return text.rfind(numeral) - text[:text.rfind(numeral)].endswith("-")
+
+
+class TestLongTextsAgainstReference:
+    @pytest.mark.parametrize("form", ("unit", "factored", "raw"))
+    @pytest.mark.parametrize("terms", (256, 1024, 8192))
+    def test_wellformed(self, form, terms):
+        rng = random.Random(f"long:{form}:{terms}")
+        text = _join_wide(rng, _long_parts(rng, form, terms))
+        assert all(c in text for c in ("\t", "\n", "\u00a0", "\u2003"))
+        assert any(chr(c) in text for c in range(0x660, 0x66a))
+        got = _agree(text)
+        assert not isinstance(got[0], type)
+        # the bulk reader took it, and the per-term reader reads the same
+        assert textform._read_bulk(text) == textform._read_terms(text)
+
+    def test_one_amid_negative_exponents(self):
+        text = "x^(-7/2) +\tx^-3 + x^(-2/4) +\u00a01 + x^(\u0663) + O(x^4)"
+        assert textform._read_bulk(text) is not None
+        assert _agree(text)[0] == Q(-7, 2)
+
+    @pytest.mark.parametrize("defect", range(6))
+    def test_wire_defects_near_the_end(self, defect):
+        # the defects of test_wire_defects, a few terms before the end
+        for seed in range(3):
+            rng = random.Random(f"long:{defect}:{seed}")
+            parts = _long_parts(rng, "unit", rng.randint(1000, 1500))
+            mid = len(parts) - rng.randint(3, 8)
+            if defect == 0:
+                parts[mid], parts[mid + 1] = parts[mid + 1], parts[mid]
+            elif defect == 1:
+                parts = parts[:-1]
+            elif defect == 2:
+                parts[mid] = "x^(1/0)"
+            elif defect == 3:
+                parts.insert(-1, "x^(1000000)")
+            elif defect == 4:  # the defect of a valuation factor
+                parts[0] = "x^(1/2) * x^(1)"
+            else:
+                bad = parts[mid]
+                parts[mid] = (bad.replace(")", "", 1) if ")" in bad
+                              else bad + "(")
+            text = _join_wide(rng, parts)
+            assert isinstance(_agree(text)[0], type)
+            assert textform._read_bulk(text) is None
+
+    @pytest.mark.parametrize("template", [
+        "x^({})", "x^(1/{})", "x^{}", "O(x^({}))", "x^(-{}/3) * 1",
+        "x^({n}/{n})"])
+    def test_long_numeral(self, template):
+        # the reference's int() rejects the numeral with a bare
+        # ValueError; the parser blames it at its position, as
+        # TestLongNumerals pins for short texts
+        n = "1" * (sys.get_int_max_str_digits() + 700)
+        rng = random.Random(template)
+        parts = _long_parts(rng, "unit", 2000)
+        if template.startswith("O"):
+            parts[-1] = template.format(n)
+        elif "*" in template:
+            parts[0] = template.format(n)
+        else:
+            parts.insert(-4, template.format(n, n=n))
+        text = _join_wide(rng, parts)
+        with pytest.raises(ValueError):
+            reference_parse_element(text)
+        with pytest.raises(ElementSyntaxError) as info:
+            parse_element(text)
+        assert info.value.position == _numeral_position(text, n)
+        assert str(info.value) == (
+            f"numeral of {len(n)} digits exceeds the limit of "
+            f"{sys.get_int_max_str_digits()} digits (at position "
+            f"{info.value.position})")
+
+    @pytest.mark.parametrize("form", ("unit", "factored", "raw"))
+    def test_den_cap(self, form):
+        rng = random.Random(f"cap:{form}")
+        parts = _long_parts(rng, form, 2000)
+        text = _join_wide(rng, parts)
+        assert _agree(text, den_cap=4)[0] is DenominatorOverflow
+        # a term check near the end still comes before the cap
+        parts[-3], parts[-2] = parts[-2], parts[-3]
+        text = _join_wide(rng, parts)
+        assert _agree(text, den_cap=4)[0] is ExponentNotIncreasing
+
+
+def _wire_text(rng, terms, den, form):
+    """An element text made as the benchmark's wire workload makes one."""
+    span = 2 * terms
+    rel = [Q(j, den) for j in sorted(rng.sample(range(1, span), terms - 1))]
+    v = Q(rng.randint(-40, 40), rng.choice(DENS))
+    if form == "raw":
+        parts = ([_exponent_text(rng, v + e) for e in [Q(0)] + rel]
+                 + [f"O({_exponent_text(rng, v + Q(span, den))})"])
+    else:
+        parts = (["1"] + [_exponent_text(rng, e) for e in rel]
+                 + [f"O({_exponent_text(rng, Q(span, den))})"])
+    return _join(rng, parts)
+
+
+class TestParseMemory:
+    @pytest.mark.parametrize("form", ("unit", "raw"))
+    def test_peak_of_a_long_text(self, form):
+        # the benchmark pool's longest text has 7586 terms on the grid 1/6
+        text = _wire_text(random.Random(7586), 7586, 6, form)
+        tracemalloc.start()
+        try:
+            parse_element(text)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 << 20

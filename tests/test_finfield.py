@@ -20,6 +20,24 @@ class TestPrimePower:
         with pytest.raises(ValueError):
             PrimePower(1, 1)
 
+    def test_q_computed_once_per_row(self):
+        # both verdict routes read q; p ** n runs for the first read only
+        powers = []
+
+        class CountingPrime(int):
+            def __pow__(self, n):
+                powers.append(n)
+                return int(self) ** n
+
+        pp = PrimePower(CountingPrime(2), 7)
+        assert linear_space_verdict(pp) == elementary_abelian_oracle(pp)
+        assert pp.q == 128 and powers == [7]
+        assert pp == PrimePower(2, 7) and repr(pp) == "PrimePower(p=2, n=7)"
+
+    def test_scan_rows_hold_q(self):
+        for pp, _, _ in prime_power_scan(200):
+            assert vars(pp)["q"] == pp.p ** pp.n
+
     def test_from_q(self):
         assert PrimePower.from_q(243) == PrimePower(3, 5)
         assert PrimePower.from_q(17) == PrimePower(17, 1)
