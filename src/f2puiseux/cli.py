@@ -204,11 +204,18 @@ def build_parser() -> argparse.ArgumentParser:
                         default=argparse.SUPPRESS,
                         help="human text or line-delimited JSON records")
 
+    # argparse wraps a generated usage line differently across Python
+    # versions; this is its 3.11 text, so help and usage errors are the
+    # same on every supported interpreter
+    indent = " " * len("usage: f2puiseux ")
+    commands = ",".join([*_ELEMENT_OPS, *_HARNESSES, "fq-scan"])
     parser = argparse.ArgumentParser(
         prog="f2puiseux", parents=[common],
+        usage=f"%(prog)s [-h] [--den-cap DEN_CAP] [--format {{text,records}}]"
+              f"\n{indent}{{{commands}}}\n{indent}...",
         description="Exact arithmetic on truncated fractional-exponent "
                     "series over GF(2), with structure checks.")
-    sub = parser.add_subparsers(dest="op", required=True)
+    sub = parser.add_subparsers(dest="op", required=True, prog="f2puiseux")
 
     def command(name, handler, arguments, **defaults):
         p = sub.add_parser(name, parents=[common])

@@ -127,9 +127,11 @@ def unit_mul(u: PuiseuxUnit, v: PuiseuxUnit, *,
              den_cap: int | None = DEFAULT_DEN_CAP) -> PuiseuxUnit:
     """Product in the unit group; precision is the minimum of the inputs'."""
     d, p = _common_grid(u, v, den_cap)
-    body = series.mul(F2Series(_on_grid(u, d, p), p),
-                      F2Series(_on_grid(v, d, p), p))
-    return PuiseuxUnit(d, body)
+    if u.den > v.den:
+        u, v = v, u
+    # u is on the coarser grid: it multiplies there, never spread
+    body = series._mul_spread(_on_grid(v, d, p), u.body.coeffs, d // u.den, p)
+    return PuiseuxUnit(d, F2Series(body, p))
 
 
 def unit_inv(u: PuiseuxUnit) -> PuiseuxUnit:

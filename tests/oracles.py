@@ -245,14 +245,12 @@ def reference_parse_element(s, *, den_cap=1 << 16):
 
 
 def reference_format_unit(u):
-    """format_unit from the Fraction of every set bit, peeled one at a
-    time off the body."""
+    """format_unit from the Fraction of every set bit, read off one scan
+    of the body's binary digits, lowest first."""
     terms = ["1"]
-    x = u.body.coeffs ^ 1
-    while x:
-        low = x & -x
-        terms.append(f"x^({Fraction(low.bit_length() - 1, u.den)})")
-        x ^= low
+    for j, digit in enumerate(reversed(bin(u.body.coeffs ^ 1)[2:])):
+        if digit == "1":
+            terms.append(f"x^({Fraction(j, u.den)})")
     return " + ".join(terms) + f" + O(x^({u.aprec}))"
 
 

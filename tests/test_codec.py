@@ -288,16 +288,18 @@ ARABIC_INDIC = str.maketrans("0123456789",
                              "\u0665\u0666\u0667\u0668\u0669")
 
 
-def _long_parts(rng, form, terms):
-    """Terms of a text with about `terms` exponents on mixed grids; a raw
-    sum holds the term 1 after its negative exponents."""
+def _long_parts(rng, form, terms, span=None):
+    """Terms of a text with about `terms` exponents on mixed grids, their
+    numerators drawn from +-span (default +-terms); a raw sum holds the
+    term 1 after its negative exponents."""
     def power(e):
         text = _exponent_text(rng, e)
         # Unicode decimal digits are digits to the grammar and to int()
         return text.translate(ARABIC_INDIC) if rng.random() < 0.05 else text
 
     exps = sorted({Q(n, rng.choice(DENS))
-                   for n in rng.sample(range(-terms, terms), terms)}
+                   for n in rng.sample(range(-(span or terms),
+                                             span or terms), terms)}
                   | {Q(0)})
     prec = exps[-1] + Q(rng.randint(1, 24), rng.choice(DENS))
     if form == "raw":
@@ -335,6 +337,14 @@ class TestLongTextsAgainstReference:
         assert not isinstance(got[0], type)
         # the bulk reader took it, and the per-term reader reads the same
         assert textform._read_bulk(text) == textform._read_terms(text)
+
+    def test_exponents_spread_wide(self):
+        # numerators over +-65536 on mixed grids: a body of millions of
+        # bits that holds only 8192 terms
+        rng = random.Random("long:wide")
+        text = _join_wide(rng, _long_parts(rng, "factored", 8192, 65536))
+        got = _agree(text)
+        assert got[3] > 1 << 20
 
     def test_one_amid_negative_exponents(self):
         text = "x^(-7/2) +\tx^-3 + x^(-2/4) +\u00a01 + x^(\u0663) + O(x^4)"

@@ -1,6 +1,7 @@
 import random
 import tracemalloc
 from fractions import Fraction as Q
+from math import ceil, lcm
 
 import pytest
 
@@ -8,8 +9,8 @@ from f2puiseux import (DenominatorOverflow, F2Series, Indistinguishable,
                        L0Element, NotAUnit, PuiseuxUnit, compose, decompose,
                        decompose_raw, element_inv, element_mul, element_pow,
                        element_root, element_scalar_mul, elements_agree,
-                       scalar_mul_unit, unit_inv, unit_mul, unit_pow,
-                       unit_root, unit_sqrt, units_agree)
+                       scalar_mul_unit, series, unit_inv, unit_mul,
+                       unit_pow, unit_root, unit_sqrt, units_agree)
 
 from oracles import term_product, unit_terms
 
@@ -106,6 +107,26 @@ class TestUnitMul:
                 assert prod.aprec == min(au, av)
                 want = term_product(unit_terms(a), unit_terms(b), prod.aprec)
                 assert unit_terms(prod) == want
+
+    @pytest.mark.parametrize("sparse,dense", [(1, 2), (6, 2), (3, 4),
+                                              (12, 8), (7, 5), (1, 8),
+                                              (8, 1)])
+    def test_mixed_grids_above_the_split_cutoff(self, sparse, dense):
+        # the unit on the coarser grid multiplies there at the stride m,
+        # in m residue classes once the common precision passes
+        # series._SPLIT_BITS * m (m <= 8).  The unit on the grid 1/sparse
+        # holds a dozen terms so that the term oracle stays cheap.
+        rng = random.Random(sparse * 100 + dense)
+        d = lcm(sparse, dense)
+        aprec = Q(series._SPLIT_BITS * (d // min(sparse, dense)) + 3, d)
+        prec = ceil(aprec * sparse)
+        u = U(sparse, sum(1 << j for j in rng.sample(range(prec), 12)) | 1,
+              prec)
+        v = random_unit(rng, dense, ceil(aprec * dense))
+        prod = unit_mul(u, v)
+        assert prod.aprec >= aprec
+        assert unit_terms(prod) == term_product(unit_terms(u), unit_terms(v),
+                                                prod.aprec)
 
     def test_cap_enforced(self):
         with pytest.raises(DenominatorOverflow):

@@ -9,7 +9,8 @@ from f2puiseux import (EvenK, F2Series, NotAUnit, OddSupport, add, inv,
                        kth_root_odd, mul, pow_int, series, sqrt)
 from f2puiseux import bitops
 from f2puiseux.puiseux import DEFAULT_DEN_CAP
-from f2puiseux.bitops import _COMB_CUTOFF, clmul, compress, spread
+from f2puiseux.bitops import (_COMB_CUTOFF, bit_indices, clmul, compress,
+                              spread)
 
 from oracles import (bits_to_coeffs, coeffs_to_bits, convolve_mod2,
                      linear_lift_root, reference_compress, reference_spread,
@@ -181,6 +182,19 @@ class TestCarrylessKernel:
         a = sum(1 << (8 * i + rng.randrange(8)) for i in range(200))
         b = rng.getrandbits(900)
         assert clmul(a, b) == clmul_oracle(a, b)
+
+
+class TestBitIndices:
+    @pytest.mark.parametrize("n", [1, 7, 8, 9, 64, 1000, 4096])
+    def test_both_sides_of_the_density_switch(self, n):
+        # sparse bodies are scanned with str.find, from one set bit in 8
+        # up the digits select from a range
+        rng = random.Random(n)
+        for w in {0, 1, n // 8 - 1, n // 8, n // 8 + 1, n // 2, n - 1}:
+            low = rng.sample(range(n - 1), min(max(w, 0), n - 1))
+            x = sum(1 << j for j in low) | 1 << (n - 1)
+            assert list(bit_indices(x)) == [j for j in range(n) if x >> j & 1]
+        assert list(bit_indices(0)) == []
 
 
 # bit lengths on either side of each power of two up to 2**12
@@ -531,6 +545,69 @@ class TestNewtonAgainstOracles:
             assert got.coeffs & 1 and pow_int(got, k) == a
 
 
+SPLIT_STRIDES = list(range(1, 13)) + [16, 32]
+
+
+def spread_product_oracle(a, z, m, prec):
+    """a * spread(z, m) modulo t**prec by schoolbook convolution."""
+    return coeffs_to_bits(convolve_mod2(
+        bits_to_coeffs(a, prec), bits_to_coeffs(reference_spread(z, m), prec),
+        prec))
+
+
+class TestMulSpread:
+    """series._mul_spread multiplies by a spread operand on the coarse
+    grid: split into residue classes, or one product below the cutoff."""
+
+    @pytest.mark.parametrize("m", SPLIT_STRIDES)
+    def test_every_class_split_matches_convolution(self, m, monkeypatch):
+        # with no cutoff every stride up to 8 splits, down to prec < m
+        monkeypatch.setattr(series, "_SPLIT_BITS", 0)
+        rng = random.Random(m)
+        for prec in sorted({1, 2, m - 1, m, m + 1, 2 * m + 1, 7 * m + 3,
+                            97, 200} - {0}):
+            a = rng.getrandbits(prec) | 1
+            z = rng.getrandbits(prec)
+            assert (series._mul_spread(a, z, m, prec)
+                    == spread_product_oracle(a, z, m, prec)), prec
+
+    @pytest.mark.parametrize("m", SPLIT_STRIDES)
+    def test_dense_operands_across_the_cutoff(self, m):
+        # at the cutoff, one below it and one above it; above 8 the
+        # stride never splits.  The kernel is checked against
+        # convolution above, so here one kernel product of the spread
+        # operand is the reference.
+        rng = random.Random(m)
+        for prec in (series._SPLIT_BITS * m + d for d in (-1, 0, 1)):
+            a = rng.getrandbits(prec) | 1
+            z = rng.getrandbits(-(-prec // m)) | 1
+            want = clmul(a, reference_spread(z, m)) & ((1 << prec) - 1)
+            assert series._mul_spread(a, z, m, prec) == want, prec
+
+    @pytest.mark.parametrize("m", [2, 3, 8])
+    def test_sparse_operand_above_the_cutoff_matches_convolution(self, m):
+        # a few dozen terms keep the convolution cheap at full size
+        rng = random.Random(m)
+        prec = series._SPLIT_BITS * m + m - 1
+        a = sum(1 << j for j in rng.sample(range(prec), 40)) | 1
+        z = rng.getrandbits(-(-prec // m))
+        assert (series._mul_spread(a, z, m, prec)
+                == spread_product_oracle(a, z, m, prec))
+
+    @pytest.mark.parametrize("c,v", [(1, 1), (3, 1), (3, 2), (5, 0), (5, 3),
+                                     (9, 0), (7, 1), (17, 0)])
+    def test_pow_across_the_cutoff(self, c, v):
+        # the factors a**(2**j) of the odd part split at the larger
+        # precisions only, and the power of 2 spreads the odd power
+        rng = random.Random(c << 8 | v)
+        for prec in (4095, 4097, 8193, 16385):
+            a = S(rng.getrandbits(prec) | 1, prec)
+            want = F2Series.one(prec)
+            for _ in range(c << v):
+                want = mul(want, a)
+            assert pow_int(a, c << v).coeffs == want.coeffs, prec
+
+
 class TestPow:
     def test_zero_exponent(self):
         assert pow_int(S(0b1101, 4), 0) == F2Series.one(4)
@@ -550,15 +627,29 @@ class TestPow:
 
     @pytest.mark.parametrize("e", [0, 1, 2, 3, 4, 7, 8, 48, 255, 256])
     def test_no_squaring_past_the_top_bit(self, e, monkeypatch):
-        squarings = []
-        real = series._sqr
+        # with e = c * 2**v, c odd, a**e multiplies in a**(2**j) at the
+        # stride 2**j for the set bits j >= 1 of c only, then spreads
+        # once by 2**v
+        calls = []
 
-        def counted(a, prec):
-            squarings.append(prec)
-            return real(a, prec)
-        monkeypatch.setattr(series, "_sqr", counted)
-        series._pow(0b1011, e, 64)
-        assert len(squarings) == max(e.bit_length() - 1, 0)
+        def counted_spread(x, m):
+            calls.append(("spread", m))
+            return spread(x, m)
+
+        def counted_mul_spread(a, z, m, prec):
+            calls.append(("mul", m))
+            return clmul(a, spread(z, m)) & ((1 << prec) - 1)
+        monkeypatch.setattr(series, "spread", counted_spread)
+        monkeypatch.setattr(series, "_mul_spread", counted_mul_spread)
+        got = series._pow(0b1011, e, 64)
+        c = e // (e & -e) if e else 0
+        assert calls == ([("mul", 1 << j) for j in range(1, c.bit_length())
+                          if c >> j & 1]
+                         + [("spread", e & -e)] * (e & -e > 1))
+        want = 1
+        for _ in range(e):
+            want = clmul(want, 0b1011) & ((1 << 64) - 1)
+        assert got == want
 
     @pytest.mark.parametrize("e", [1, 2, 3, 7, 8, 100])
     def test_no_product_with_one(self, e, monkeypatch):
