@@ -56,13 +56,17 @@ from math import gcd
 # sparse, so bit length would misjudge them
 _COMB_CUTOFF = 96
 
+# bits per set bit from which bit_indices walks str.find rather than
+# selecting with itertools.compress; the two cost the same at about one
+# set bit in 7 over 1024-65536 bits
+_SPARSE_SCAN = 7
+_BINARY_DIGITS = bytes.maketrans(b"01", b"\0\1")
+
 # bits of re-gridding masks the cache may hold; it is cleared when a new
 # key would overfill it, and a key larger than the bound is never kept
 _MASK_BITS = 1 << 23
 _MASKS: dict[tuple[int, int], tuple[int, ...]] = {}
 _held_bits = 0
-
-_BINARY_DIGITS = bytes.maketrans(b"01", b"\0\1")
 
 
 def clmul(a: int, b: int) -> int:
@@ -102,17 +106,18 @@ def bit_indices(x: int):
 
     One pass over the LSB-first binary digits, linear in the bit length
     of x; peeling the lowest bit off the int instead copies all of x per
-    set bit, which is quadratic on dense operands.  From one set bit in
-    8 up, the digits, translated to bytes 0 and 1, select from a range
-    at C speed; on sparser bodies, such as re-gridded ones, str.find
-    skips the runs of zeros at C speed and Python steps once per set
-    bit, which is faster.
+    set bit, which is quadratic on dense operands.  On dense bodies the
+    digits, translated to bytes 0 and 1, select from a range at C speed.
+    On sparse ones, such as re-gridded bodies, str.find skips the runs
+    of zeros at C speed and Python steps once per set bit, which is
+    faster.  Either way at most two n-byte copies of the digits are
+    alive at once.
     """
-    digits = bin(x)[:1:-1]
-    if x.bit_count() * 8 < len(digits):
-        return _find_ones(digits)
-    return itertools.compress(range(len(digits)),
-                              digits.encode().translate(_BINARY_DIGITS))
+    n = x.bit_length()
+    if x.bit_count() * _SPARSE_SCAN < n:
+        return _find_ones(bin(x)[:1:-1])
+    return itertools.compress(
+        range(n), bin(x).encode()[:1:-1].translate(_BINARY_DIGITS))
 
 
 def _find_ones(digits: str):

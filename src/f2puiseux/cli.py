@@ -204,9 +204,11 @@ def build_parser() -> argparse.ArgumentParser:
                         default=argparse.SUPPRESS,
                         help="human text or line-delimited JSON records")
 
-    # argparse wraps a generated usage line differently across Python
-    # versions; this is its 3.11 text, so help and usage errors are the
-    # same on every supported interpreter
+    # argparse lays out a generated usage line differently across Python
+    # versions (3.13 keeps the command choices and "..." on one line).
+    # This is the text 3.10-3.12 generate at 80 columns, fixed for every
+    # interpreter and terminal width, so help and usage errors are the
+    # same everywhere; a test compares it with argparse's own on 3.10-3.12
     indent = " " * len("usage: f2puiseux ")
     commands = ",".join([*_ELEMENT_OPS, *_HARNESSES, "fq-scan"])
     parser = argparse.ArgumentParser(

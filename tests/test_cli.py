@@ -1,3 +1,4 @@
+import copy
 import hashlib
 import io
 import json
@@ -10,7 +11,7 @@ from unittest import mock
 
 import pytest
 
-from f2puiseux.cli import main
+from f2puiseux.cli import build_parser, main
 
 
 def run(capsys, *argv):
@@ -331,6 +332,20 @@ def test_golden_transcript(index):
     expected = json.loads(GOLDEN.read_text())
     assert len(expected) == len(CASES)
     assert transcript(CASES[index]) == expected[index]
+
+
+@pytest.mark.skipif(sys.version_info >= (3, 13),
+                    reason="argparse 3.13 keeps the command choices and "
+                           "'...' on one line")
+def test_fixed_usage_is_what_argparse_makes_at_80_columns():
+    # the top-level usage is written out so that it does not follow the
+    # interpreter's layout; up to 3.12 argparse generates that same text,
+    # so a flag or command added without updating it fails here
+    parser = build_parser()
+    generated = copy.copy(parser)
+    generated.usage = None
+    with mock.patch.dict(os.environ, {"COLUMNS": "80"}):
+        assert parser.format_usage() == generated.format_usage()
 
 
 def test_parser_reuse_leaks_no_state(capsys):

@@ -9,8 +9,8 @@ from f2puiseux import (EvenK, F2Series, NotAUnit, OddSupport, add, inv,
                        kth_root_odd, mul, pow_int, series, sqrt)
 from f2puiseux import bitops
 from f2puiseux.puiseux import DEFAULT_DEN_CAP
-from f2puiseux.bitops import (_COMB_CUTOFF, bit_indices, clmul, compress,
-                              spread)
+from f2puiseux.bitops import (_COMB_CUTOFF, _SPARSE_SCAN, bit_indices,
+                              clmul, compress, spread)
 
 from oracles import (bits_to_coeffs, coeffs_to_bits, convolve_mod2,
                      linear_lift_root, reference_compress, reference_spread,
@@ -187,10 +187,11 @@ class TestCarrylessKernel:
 class TestBitIndices:
     @pytest.mark.parametrize("n", [1, 7, 8, 9, 64, 1000, 4096])
     def test_both_sides_of_the_density_switch(self, n):
-        # sparse bodies are scanned with str.find, from one set bit in 8
-        # up the digits select from a range
+        # sparse bodies are walked with str.find, dense ones select from
+        # a range; set-bit counts from a lone top bit to all bits set
         rng = random.Random(n)
-        for w in {0, 1, n // 8 - 1, n // 8, n // 8 + 1, n // 2, n - 1}:
+        k = n // _SPARSE_SCAN
+        for w in {0, 1, k - 2, k - 1, k, k + 1, n // 2, n - 1}:
             low = rng.sample(range(n - 1), min(max(w, 0), n - 1))
             x = sum(1 << j for j in low) | 1 << (n - 1)
             assert list(bit_indices(x)) == [j for j in range(n) if x >> j & 1]
