@@ -5,8 +5,8 @@ A PuiseuxUnit is a series with constant coefficient 1 living on the
 exponent grid (1/den)*Z: bit j of the body is the coefficient of
 x**(j/den).  The union over all den forms a multiplicative group on
 which every integer power map is a bijection, which is exactly what
-makes u**r well defined for rational r: square roots halve exponents
-(double den), odd roots come from Newton lifting, and the two commute.
+makes u**r well defined for rational r: one series power for the odd
+part of q in u**(p/q), and a square root (den doubles) per factor of 2.
 
 An L0Element adds an exact rational valuation: the pair (val, unit)
 stands for x**val * unit.  Multiplication adds valuations and
@@ -150,13 +150,20 @@ def unit_sqrt(u: PuiseuxUnit, *,
     return PuiseuxUnit(d, u.body)
 
 
+def _act(u: PuiseuxUnit, p: int, q: int, den_cap: int | None) -> PuiseuxUnit:
+    # u**(p/q): one series._power for the odd part of q, then a square
+    # root per factor of 2, each checked against the cap as it is taken
+    s = (q & -q).bit_length() - 1
+    body = series._power(u.body.coeffs, p, q >> s, u.body.prec)
+    r = PuiseuxUnit(u.den, F2Series(body, u.body.prec))
+    for _ in range(s):
+        r = unit_sqrt(r, den_cap=den_cap)
+    return r
+
+
 def unit_pow(u: PuiseuxUnit, e: int) -> PuiseuxUnit:
     """u**e for any integer e; e = 0 gives 1 at the same precision."""
-    body = u.body
-    if e < 0:
-        body = series.inv(body)
-        e = -e
-    return PuiseuxUnit(u.den, series.pow_int(body, e))
+    return _act(u, e, 1, None)
 
 
 def unit_root(u: PuiseuxUnit, k: int, *,
@@ -168,22 +175,14 @@ def unit_root(u: PuiseuxUnit, k: int, *,
     """
     if k < 1:
         raise ValueError(f"root index must be >= 1, got {k}")
-    s = 0
-    while k % 2 == 0:
-        k //= 2
-        s += 1
-    r = PuiseuxUnit(u.den, series.kth_root_odd(u.body, k))
-    for _ in range(s):
-        r = unit_sqrt(r, den_cap=den_cap)
-    return r
+    return _act(u, 1, k, den_cap)
 
 
 def scalar_mul_unit(r: RationalLike, u: PuiseuxUnit, *,
                     den_cap: int | None = DEFAULT_DEN_CAP) -> PuiseuxUnit:
     """The scalar action r . u := u**r = (u**num)**(1/den)."""
     r = Fraction(r)
-    return unit_root(unit_pow(u, r.numerator), r.denominator,
-                     den_cap=den_cap)
+    return _act(u, r.numerator, r.denominator, den_cap)
 
 
 @dataclass(frozen=True, eq=False)

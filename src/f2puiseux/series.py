@@ -6,30 +6,30 @@ above prec are never stored.  Binary operations propagate precision as
 the minimum of the operands' precisions; comparisons across different
 precisions truncate both sides to the smaller one first.
 
-Units (constant coefficient 1) support inversion and unique k-th roots
-for odd k, both from one Newton lifting of the inverse k-th root
-y = a**(-1/k) by the inversion-free step y <- a * y**(k+1).  If
-a*y**k = 1+e, the step makes it (1+e)**(k+1).  As k+1 is even and
-squaring is additive in characteristic 2, that is (1+e*e)**((k+1)/2):
-each step at least doubles the number of correct coefficients, and
-2**w-folds it when 2**w divides k+1.  The inverse is the case k = 1,
-y <- a*y*y, and the k-th root is a * y**(k-1).  A 2**v-th power is a
-bit spread, exact from its base modulo t**ceil(prec / 2**v), so y is
-lifted, and raised to the odd part of each exponent, only to that
-reduced precision.
+Every power a**(p/k) of a unit, odd k >= 1 and integer p, is one entry,
+_power.  It lifts y = a**(-1/k) by the inversion-free Newton step
+y <- a * y**(k+1).  If a*y**k = 1+e, the step makes it (1+e)**(k+1),
+and as k+1 is even and squaring is additive in characteristic 2, that
+is (1+e*e)**((k+1)/2): each step at least doubles the correct
+coefficients, and 2**w-folds them when 2**w divides k+1.  For odd p < k
+the result is a * y**(k-p): the inverse is (p, k) = (-1, 1), the k-th
+root p = 1.  A larger odd p splits off an even power, p = 2kn + c with
+odd c in (-k, k].  A 2**v-th power is a bit spread, exact from its base
+modulo t**ceil(prec / 2**v), so y and every odd power are taken only to
+that reduced precision.
 
 Products with a spread operand stay on the coarse grid.  As t -> t**m
 is a ring endomorphism of GF(2)[t], a * spread(z, m) is the interleave
 of m class products compress(a >> r, m) * z, each 1/m the size, so it
 costs about 1/m of the quadratic work.  That covers the Newton step's
-a * y**(k+1), each factor a**(2**j) of a power (a**e multiplies them
-in for the odd part of e and spreads for the rest, forming no square),
-and a unit product across two grids.  Each class pays a compress and a
-spread of the whole operand, so the split runs only for m <= 8 and
-class products of at least _SPLIT_BITS = 2048 bits.  In
-microbenchmarks (CPython 3.11, 2-vCPU x86-64 VM) it won from there,
-1.2x for m = 2 at 4096 bits and 1.4x for m = 8 at 16384; it lost below
-2048 bits per class, and at m = 32 it still lost at 65536 bits.
+a * y**(k+1), the even power split off an odd one (a * a**(2n) is
+a * spread(a**(2n/m), m), so no square is formed), and a unit product
+across two grids.  Each class pays a compress and a spread of the
+whole operand, so the split runs only for m <= 8 and class products
+of at least _SPLIT_BITS = 2048 bits.  In microbenchmarks (CPython
+3.11, 2-vCPU x86-64 VM) it won from there, 1.2x for m = 2 at 4096 bits
+and 1.4x for m = 8 at 16384; it lost below 2048 bits per class, and at
+m = 32 it still lost at 65536 bits.
 """
 
 from __future__ import annotations
@@ -94,14 +94,14 @@ def pow_int(a: F2Series, e: int) -> F2Series:
     """a**e for e >= 0, truncated to a.prec."""
     if e < 0:
         raise ValueError("exponent must be nonnegative; invert first")
-    return F2Series(_pow(a.coeffs, e, a.prec), a.prec)
+    return F2Series(_power(a.coeffs, e, 1, a.prec), a.prec)
 
 
 def inv(a: F2Series) -> F2Series:
     """Inverse of a unit, to the same precision."""
     if not a.is_unit():
         raise NotAUnit("series has constant coefficient 0")
-    return F2Series(_inv_root(a.coeffs, 1, a.prec), a.prec)
+    return F2Series(_power(a.coeffs, -1, 1, a.prec), a.prec)
 
 
 def sqrt(a: F2Series) -> F2Series:
@@ -120,9 +120,7 @@ def kth_root_odd(a: F2Series, k: int) -> F2Series:
         raise EvenK(f"k must be a positive odd integer, got {k}")
     if not a.is_unit():
         raise NotAUnit("series has constant coefficient 0")
-    if k == 1:
-        return a
-    return F2Series(_inv_root(a.coeffs, k, a.prec, k - 1), a.prec)
+    return F2Series(_power(a.coeffs, 1, k, a.prec), a.prec)
 
 
 # ---------------------------------------------------------------------------
@@ -149,31 +147,32 @@ def _mul_spread(a: int, z: int, m: int, prec: int) -> int:
     return out
 
 
-def _pow(a: int, e: int, prec: int) -> int:
-    # a**(c * 2**v) is the spread of a**c modulo t**ceil(prec / 2**v);
-    # the odd part c multiplies in each factor a**(2**j) on its coarse
-    # grid, so no square is ever formed, and none past the top bit of c
-    if e == 0:
+def _power(a: int, p: int, k: int, prec: int) -> int:
+    # a**(p/k) modulo t**prec, odd k >= 1; a is a unit unless k = 1 <= p.
+    # A 2**v-th power spreads, odd p < k is one Newton call, and odd
+    # p = 2kn + c > k, c in (-k, k], is a**(c/k) times a**(2n), which
+    # multiplies in on its coarse grid
+    if p == 0:
         return 1
-    v = (e & -e).bit_length() - 1
+    v = (p & -p).bit_length() - 1
     if v:
-        return spread(_pow(a, e >> v, -(-prec >> v)), 1 << v)
-    a = r = trunc_bits(a, prec)
-    e, m = e >> 1, 2
-    while e:
-        if e & 1:
-            r = _mul_spread(r, a, m, prec)
-        e, m = e >> 1, m << 1
-    return r
+        return spread(_power(a, p >> v, k, -(-prec >> v)), 1 << v)
+    if p < k:
+        return _inv_root(a, k, prec, k - p)
+    if p == k:
+        return trunc_bits(a, prec)
+    n = (p + k - 1) // (2 * k)
+    m = n & -n
+    return _mul_spread(_power(a, p - 2 * k * n, k, prec),
+                       _power(a, n // m, 1, -(-prec // (2 * m))), 2 * m, prec)
 
 
-def _inv_root(a: int, k: int, prec: int, e: int = 0) -> int:
-    # y = a**(-1/k), odd k, by the Newton step y <- a * y**(k+1); given
-    # an even e, a * y**e instead.  With e = c * 2**v, c odd, y**e is
-    # the spread of y**c by 2**v, so y is needed modulo t**h only,
-    # h = ceil(prec / 2**v), and a multiplies it on that coarse grid.
-    e = e or k + 1
+def _inv_root(a: int, k: int, prec: int, e: int) -> int:
+    # a * y**e for an even e > 0, y = a**(-1/k) lifted by y <- a * y**(k+1).
+    # With e = c * 2**v, c odd, y**e is the spread of y**c, so y is needed
+    # modulo t**ceil(prec / 2**v) only, and a multiplies it on that grid.
     v = (e & -e).bit_length() - 1
     h = -(-prec >> v)
-    y = _inv_root(a, k, h) if h > 1 else 1
-    return _mul_spread(trunc_bits(a, prec), _pow(y, e >> v, h), 1 << v, prec)
+    y = _inv_root(a, k, h, k + 1) if h > 1 else 1
+    return _mul_spread(trunc_bits(a, prec), _power(y, e >> v, 1, h),
+                       1 << v, prec)

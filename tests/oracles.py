@@ -12,6 +12,16 @@ and a set of exponents, term by term, where the package works on
 integer grid indices.  The reference prime-power scan factors every
 integer by trial division and builds each row's verdicts afresh, where
 the package walks its sieve and shares the verdict values.
+
+The scalar action has two references.  One is the composition
+u**(p/q) = (u**p)**(1/q), a power by repeated products (of the
+schoolbook inverse for p < 0), then the linear-lift odd root and one
+grid doubling per factor of 2 of q.  The other reads off the 2-adic
+coordinates of a unit: over GF(2) every 1-unit of GF(2)[[t]] is
+uniquely a product of (1 + t**n)**a_n over odd n, with 2-adic integers
+a_n, so the group law is addition of coordinates and u**(p/q) divides
+p times the coordinates by q.  The coordinates come from shifts and
+XORs alone.
 """
 
 import re
@@ -107,6 +117,62 @@ def linear_lift_root(a: F2Series, k: int) -> F2Series:
         if ((power.coeffs ^ a.coeffs) >> m) & 1:
             bits |= 1 << m
     return F2Series(bits, a.prec)
+
+
+def reference_scalar_mul_unit(r, u: PuiseuxUnit, *,
+                              den_cap=1 << 16) -> PuiseuxUnit:
+    """(u**p)**(1/q) as the composition of the coefficient-at-a-time
+    references, with the cap checked at each grid doubling."""
+    r = Fraction(r)
+    p, q = r.numerator, r.denominator
+    base = schoolbook_inverse(u.body) if p < 0 else u.body
+    power = F2Series.one(base.prec)
+    for _ in range(abs(p)):
+        power = series_product(power, base)
+    w = PuiseuxUnit(u.den, power)
+    s = (q & -q).bit_length() - 1
+    w = PuiseuxUnit(w.den, linear_lift_root(w.body, q >> s))
+    for _ in range(s):
+        if den_cap is not None and 2 * w.den > den_cap:
+            raise DenominatorOverflow(
+                f"grid denominator {2 * w.den} exceeds the cap {den_cap}")
+        w = PuiseuxUnit(2 * w.den, w.body)
+    return w
+
+
+def unit_coordinates(bits: int, prec: int) -> dict[int, int]:
+    """The 2-adic coordinates {n: a_n} of the unit bits + O(t**prec).
+
+    a_n is known modulo 2**e_n, where e_n = coordinate_bits(n, prec).
+    The lowest bit m = n * 2**v of u - 1 is bit v of a_n, since
+    (1 + t**n)**(2**v) = 1 + t**m; u is then divided by 1 + t**m, a
+    prefix XOR at stride m, until it is 1.
+    """
+    assert bits & 1
+    mask = (1 << prec) - 1
+    u = bits & mask
+    coords = {}
+    while u != 1:
+        m = ((u ^ 1) & -(u ^ 1)).bit_length() - 1
+        v = (m & -m).bit_length() - 1
+        coords[m >> v] = coords.get(m >> v, 0) | 1 << v
+        shift = m
+        while shift < prec:
+            u = (u ^ u << shift) & mask
+            shift <<= 1
+    return coords
+
+
+def coordinate_bits(n: int, prec: int) -> int:
+    """e_n: the number of v >= 0 with n * 2**v < prec, for odd n."""
+    return ((prec - 1) // n).bit_length()
+
+
+def coordinates_match(got: dict, want: dict, prec: int) -> bool:
+    """got == want modulo 2**e_n for every odd n < prec."""
+    return all((got.get(n, 0) - want.get(n, 0))
+               % (1 << coordinate_bits(n, prec)) == 0
+               for n in range(1, prec, 2))
 
 
 def unit_terms(u: PuiseuxUnit) -> dict[Fraction, int]:

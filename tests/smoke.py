@@ -1,0 +1,89 @@
+"""A smoke check that needs nothing beyond the standard library.
+
+Run it from the repository root on any supported interpreter:
+
+    PYTHONPATH=src python tests/smoke.py
+
+It replays the golden CLI transcripts of tests/cli_golden.json through
+`cli.main`, runs the four demos, and checks powers a**(p/k) from
+`series._power` against the 2-adic coordinates of tests/oracles.py.
+It prints one line per part and exits 1 if any part fails.  pytest
+does not collect this file; the Tier-1 suite covers the same ground
+where pytest is installed.
+"""
+
+import io
+import json
+import os
+import random
+import subprocess
+import sys
+from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
+from unittest import mock
+
+from f2puiseux import series
+from f2puiseux.cli import main
+
+from oracles import coordinates_match, unit_coordinates
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def transcript(argv):
+    """One `main` call as {argv, code, out, err}, help text at 80 columns."""
+    out, err = io.StringIO(), io.StringIO()
+    with mock.patch.dict(os.environ, {"COLUMNS": "80"}), \
+            redirect_stdout(out), redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return {"argv": argv, "code": code, "out": out.getvalue(),
+            "err": err.getvalue()}
+
+
+def golden():
+    cases = json.loads((ROOT / "tests" / "cli_golden.json").read_text())
+    bad = [c["argv"] for c in cases if transcript(c["argv"]) != c]
+    return len(cases), bad
+
+
+def demos():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    paths = sorted((ROOT / "demos").glob("*.py"))
+    bad = [p.name for p in paths
+           if subprocess.run([sys.executable, str(p)], capture_output=True,
+                             env=env, timeout=60).returncode]
+    return len(paths), bad
+
+
+def powers():
+    # k times the coordinates of a**(p/k) are p times those of a
+    rng = random.Random(12)
+    cases, bad = 0, []
+    for prec in (1, 2, 3, 63, 64, 65, 256, 257):
+        for _ in range(40):
+            a = rng.getrandbits(prec) | 1
+            p, k = rng.randrange(-20, 21), rng.randrange(1, 50, 2)
+            got = unit_coordinates(series._power(a, p, k, prec), prec)
+            want = unit_coordinates(a, prec)
+            cases += 1
+            if not coordinates_match({n: k * c for n, c in got.items()},
+                                     {n: p * c for n, c in want.items()},
+                                     prec):
+                bad.append((prec, p, k))
+    return cases, bad
+
+
+if __name__ == "__main__":
+    failed = False
+    for name, part in (("golden transcripts", golden), ("demos", demos),
+                       ("powers against coordinates", powers)):
+        total, bad = part()
+        failed |= bool(bad)
+        print(f"{name}: {total - len(bad)} of {total} pass"
+              + (f"; failing: {bad[:5]}" if bad else ""))
+    sys.exit(1 if failed else 0)

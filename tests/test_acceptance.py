@@ -10,6 +10,7 @@ import json
 import random
 import time
 from fractions import Fraction as Q
+from functools import partial
 
 import pytest
 
@@ -20,7 +21,8 @@ from f2puiseux import (ElementSyntaxError, ExponentNotIncreasing, F2Series,
                        element_mul, elementary_abelian_oracle, format_element,
                        kth_root_odd, linear_space_verdict, parse_element,
                        pow_int, unit_mul, unit_pow, unit_sqrt, units_agree)
-from f2puiseux.axioms import check_vector_space_axioms, random_unit, _rng
+from f2puiseux.axioms import (check_root_bijectivity,
+                              check_vector_space_axioms, random_unit, _rng)
 from f2puiseux.cli import main
 
 from oracles import linear_lift_root
@@ -114,27 +116,38 @@ def test_criterion_4_axiom_suite_and_fault_injection(capsys):
                            F2Series(out.body.coeffs & ~(1 << top),
                                     out.body.prec))
 
+    def skew(out):
+        return PuiseuxUnit(out.den,
+                           F2Series(out.body.coeffs ^ 2, out.body.prec))
+
+    def skewed_scalar(r, u, *, den_cap=px.DEFAULT_DEN_CAP):
+        out = honest_scalar(r, u, den_cap=den_cap)
+        return skew(out) if Q(r).denominator > 1 else out
+
     def skewed_root(u, k, *, den_cap=px.DEFAULT_DEN_CAP):
         out = honest_root(u, k, den_cap=den_cap)
-        if k > 1 and out.body.prec > 1:
-            out = PuiseuxUnit(out.den,
-                              F2Series(out.body.coeffs ^ 2, out.body.prec))
-        return out
+        return skew(out) if k > 1 else out
 
     def shifted_decompose(a):
         val, unit = honest_decompose(a)
         return val + 1, unit
 
-    honest_mul, honest_root = px.unit_mul, px.unit_root
-    honest_decompose = px.decompose
-    faults = [("unit_mul", lossy_mul), ("unit_root", skewed_root),
-              ("decompose", shifted_decompose)]
+    honest_mul, honest_scalar = px.unit_mul, px.scalar_mul_unit
+    honest_root, honest_decompose = px.unit_root, px.decompose
+    # the vector-space laws reach roots through the scalar action; the
+    # bijectivity laws call unit_root directly
+    vector_space = partial(check_vector_space_axioms, 200, 64, seed=42,
+                           scalar_bound=9)
+    bijectivity = partial(check_root_bijectivity, 10, 12, 64, seed=42)
+    faults = [("unit_mul", lossy_mul, vector_space),
+              ("scalar_mul_unit", skewed_scalar, vector_space),
+              ("decompose", shifted_decompose, vector_space),
+              ("unit_root", skewed_root, bijectivity)]
     caught = []
-    for name, fault in faults:
+    for name, fault, harness in faults:
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(px, name, fault)
-            report = check_vector_space_axioms(200, 64, seed=42,
-                                               scalar_bound=9)
+            report = harness()
         assert report.failures > 0, f"fault in {name} went unnoticed"
         witnesses = [c.first_counterexample for c in report.checks
                      if c.failures]

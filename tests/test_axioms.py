@@ -106,17 +106,28 @@ class TestFaultInjection:
         assert all(c.first_counterexample is not None for c in failing)
 
     def test_root_perturbation_is_caught(self, monkeypatch):
-        honest = px.unit_root
+        # the vector-space laws reach roots through the scalar action,
+        # and the bijectivity laws call unit_root directly
+        honest_scalar, honest_root = px.scalar_mul_unit, px.unit_root
 
-        def skewed(u, k, *, den_cap=px.DEFAULT_DEN_CAP):
-            out = honest(u, k, den_cap=den_cap)
-            if k > 1 and out.body.prec > 1:
-                out = PuiseuxUnit(out.den, F2Series(
-                    out.body.coeffs ^ 2, out.body.prec))
-            return out
+        def skew(out):
+            return PuiseuxUnit(out.den, F2Series(out.body.coeffs ^ 2,
+                                                 out.body.prec))
 
-        monkeypatch.setattr(px, "unit_root", skewed)
+        def skewed_scalar(r, u, *, den_cap=px.DEFAULT_DEN_CAP):
+            out = honest_scalar(r, u, den_cap=den_cap)
+            return skew(out) if Q(r).denominator > 1 else out
+
+        def skewed_root(u, k, *, den_cap=px.DEFAULT_DEN_CAP):
+            out = honest_root(u, k, den_cap=den_cap)
+            return skew(out) if k > 1 else out
+
+        monkeypatch.setattr(px, "scalar_mul_unit", skewed_scalar)
         report = check_vector_space_axioms(60, 32, seed=42, scalar_bound=9)
+        assert not report.passed
+        monkeypatch.setattr(px, "scalar_mul_unit", honest_scalar)
+        monkeypatch.setattr(px, "unit_root", skewed_root)
+        report = check_root_bijectivity(10, 12, 64, seed=9)
         assert not report.passed
 
     def test_decompose_valuation_shift_is_caught(self, monkeypatch):

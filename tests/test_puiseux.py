@@ -9,10 +9,12 @@ from f2puiseux import (DenominatorOverflow, F2Series, Indistinguishable,
                        L0Element, NotAUnit, PuiseuxUnit, compose, decompose,
                        decompose_raw, element_inv, element_mul, element_pow,
                        element_root, element_scalar_mul, elements_agree,
-                       scalar_mul_unit, series, unit_inv, unit_mul,
-                       unit_pow, unit_root, unit_sqrt, units_agree)
+                       format_unit, scalar_mul_unit, series, unit_inv,
+                       unit_mul, unit_pow, unit_root, unit_sqrt, units_agree)
 
-from oracles import term_product, unit_terms
+from oracles import (coordinates_match, reference_scalar_mul_unit,
+                     reference_spread, term_product, unit_coordinates,
+                     unit_terms)
 
 
 def U(den, bits, prec):
@@ -271,6 +273,96 @@ class TestScalarAction:
             assert units_agree(
                 scalar_mul_unit(r * s, u),
                 scalar_mul_unit(r, scalar_mul_unit(s, u)))
+
+    def test_cap_is_checked_at_each_square_root(self):
+        # the first root crossing the cap is named; a grid that contracts
+        # after a root is checked at its contracted size
+        with pytest.raises(DenominatorOverflow,
+                           match="^grid denominator 4 exceeds the cap 2$"):
+            scalar_mul_unit(Q(-9, 8), PuiseuxUnit.one(1), den_cap=2)
+        out = unit_root(PuiseuxUnit(1, F2Series(0b101, 4)), 4, den_cap=2)
+        assert format_unit(out) == "1 + x^(1/2) + O(x^(1))"
+
+    def test_matches_power_then_root_composition(self):
+        # precisions on the Newton ladder boundaries; a seeded subset of
+        # p in -20..20 and q in 1..49, the per-coefficient reference
+        # being slow
+        rng = random.Random(47)
+        precs = sorted({(1 << j) + d for j in range(9) for d in (-1, 0, 1)}
+                       - {0})
+        for prec in precs:
+            for _ in range(2):
+                u = random_unit(rng, rng.choice((1, 2, 3)), prec)
+                r = Q(rng.randrange(-20, 21), rng.randrange(1, 50))
+                for cap in (None, 8):
+                    try:
+                        want = reference_scalar_mul_unit(r, u, den_cap=cap)
+                    except DenominatorOverflow as exc:
+                        with pytest.raises(DenominatorOverflow) as info:
+                            scalar_mul_unit(r, u, den_cap=cap)
+                        assert str(info.value) == str(exc)
+                        continue
+                    got = scalar_mul_unit(r, u, den_cap=cap)
+                    assert (got.den, got.body.coeffs, got.body.prec) == (
+                        want.den, want.body.coeffs, want.body.prec), (prec, r)
+
+
+class TestUnitPow:
+    @pytest.mark.parametrize("e", [-2, -8])
+    def test_negative_even_power_inverts_at_reduced_precision(
+            self, e, monkeypatch):
+        # u**(-c * 2**v) needs u**(-c) modulo x**ceil(prec / 2**v) only,
+        # so the Newton ladder starts there
+        honest, precs = series._inv_root, []
+
+        def recorded(a, k, prec, *rest):
+            precs.append(prec)
+            return honest(a, k, prec, *rest)
+        monkeypatch.setattr(series, "_inv_root", recorded)
+        u = random_unit(random.Random(-e), 3, 4097)
+        got = unit_pow(u, e)
+        assert precs[0] == ceil(4097 / -e)
+        assert unit_mul(got, unit_pow(u, -e)).is_identity()
+
+
+def coordinates_on(w, den, prec):
+    """2-adic coordinates of w in t = x**(1/den), below the index prec."""
+    return unit_coordinates(reference_spread(w.body.coeffs, den // w.den),
+                            prec)
+
+
+def scaled(coords, c):
+    return {n: c * a for n, a in coords.items()}
+
+
+class TestCoordinates:
+    """Products add 2-adic coordinates, and u**(p/q) for odd q has q
+    times its coordinates equal to p times those of u."""
+
+    COORD_PRECS = [1, 2, 3, 63, 64, 65, 256]
+
+    @pytest.mark.parametrize("prec", COORD_PRECS)
+    def test_products_add_coordinates(self, prec):
+        rng = random.Random(prec)
+        for _ in range(20):
+            den = rng.choice((1, 3))
+            u, v = random_unit(rng, den, prec), random_unit(rng, den, prec)
+            cu, cv = coordinates_on(u, den, prec), coordinates_on(v, den, prec)
+            want = {n: cu.get(n, 0) + cv.get(n, 0) for n in cu.keys() | cv}
+            assert coordinates_match(
+                coordinates_on(unit_mul(u, v), den, prec), want, prec)
+
+    @pytest.mark.parametrize("prec", COORD_PRECS)
+    def test_scalar_action_divides_coordinates(self, prec):
+        # every p in -20..20 against every odd q <= 49, one unit per p
+        rng = random.Random(prec)
+        for p in range(-20, 21):
+            den = rng.choice((1, 3))
+            u = random_unit(rng, den, prec)
+            want = scaled(coordinates_on(u, den, prec), p)
+            for q in range(1, 50, 2):
+                got = coordinates_on(scalar_mul_unit(Q(p, q), u), den, prec)
+                assert coordinates_match(scaled(got, q), want, prec), (p, q)
 
 
 class TestElements:

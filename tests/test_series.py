@@ -13,8 +13,9 @@ from f2puiseux.bitops import (_COMB_CUTOFF, _SPARSE_SCAN, bit_indices,
                               clmul, compress, spread)
 
 from oracles import (bits_to_coeffs, coeffs_to_bits, convolve_mod2,
-                     linear_lift_root, reference_compress, reference_spread,
-                     schoolbook_inverse, series_product)
+                     coordinates_match, linear_lift_root, reference_compress,
+                     reference_spread, schoolbook_inverse, series_product,
+                     unit_coordinates)
 
 
 def S(bits, prec):
@@ -546,6 +547,33 @@ class TestNewtonAgainstOracles:
             assert got.coeffs & 1 and pow_int(got, k) == a
 
 
+class TestCoordinates:
+    """In the 2-adic coordinates of oracles.unit_coordinates, products
+    add, the inverse negates, powers scale and k-th roots divide by k."""
+
+    @pytest.mark.parametrize("prec", [1, 2, 3, 63, 64, 65, 256])
+    def test_group_law_in_coordinates(self, prec):
+        def coords(a, scale=1):
+            return {n: scale * c for n, c in
+                    unit_coordinates(a.coeffs, a.prec).items()}
+        rng = random.Random(prec)
+        for _ in range(20):
+            a = S(rng.getrandbits(prec) | 1, prec)
+            b = S(rng.getrandbits(prec) | 1, prec)
+            ca, cb = coords(a), coords(b)
+            assert coordinates_match(coords(mul(a, b)), {
+                n: ca.get(n, 0) + cb.get(n, 0) for n in ca.keys() | cb}, prec)
+            assert coordinates_match(coords(inv(a)), coords(a, -1), prec)
+            e = rng.randrange(300)
+            assert coordinates_match(coords(pow_int(a, e)), coords(a, e), prec)
+            k = rng.randrange(1, 50, 2)
+            assert coordinates_match(coords(kth_root_odd(a, k), k), ca, prec)
+            # one flipped coefficient moves the coordinates
+            if prec > 1:
+                assert not coordinates_match(coords(S(a.coeffs ^ 2, prec)),
+                                             ca, prec)
+
+
 SPLIT_STRIDES = list(range(1, 13)) + [16, 32]
 
 
@@ -628,9 +656,10 @@ class TestPow:
 
     @pytest.mark.parametrize("e", [0, 1, 2, 3, 4, 7, 8, 48, 255, 256])
     def test_no_squaring_past_the_top_bit(self, e, monkeypatch):
-        # with e = c * 2**v, c odd, a**e multiplies in a**(2**j) at the
-        # stride 2**j for the set bits j >= 1 of c only, then spreads
-        # once by 2**v
+        # with e = c * 2**v, c odd, a**c = a * spread(a**(c >> j), 2**j)
+        # for the next set bit j of c, recursing on c >> j; a**e then
+        # spreads once by 2**v.  So the strides are the gaps between the
+        # set bits of c, innermost first, none of them 1 (no square)
         calls = []
 
         def counted_spread(x, m):
@@ -642,10 +671,11 @@ class TestPow:
             return clmul(a, spread(z, m)) & ((1 << prec) - 1)
         monkeypatch.setattr(series, "spread", counted_spread)
         monkeypatch.setattr(series, "_mul_spread", counted_mul_spread)
-        got = series._pow(0b1011, e, 64)
+        got = series._power(0b1011, e, 1, 64)
         c = e // (e & -e) if e else 0
-        assert calls == ([("mul", 1 << j) for j in range(1, c.bit_length())
-                          if c >> j & 1]
+        bits = [j for j in range(c.bit_length()) if c >> j & 1]
+        assert calls == ([("mul", 1 << (hi - lo))
+                          for lo, hi in zip(bits, bits[1:])][::-1]
                          + [("spread", e & -e)] * (e & -e > 1))
         want = 1
         for _ in range(e):
@@ -664,6 +694,6 @@ class TestPow:
             products.append((x, y))
             return clmul(x, y)
         monkeypatch.setattr(series, "clmul", counted)
-        assert series._pow(b, e, prec) == expected.coeffs
+        assert series._power(b, e, 1, prec) == expected.coeffs
         assert len(products) == e.bit_count() - 1
         assert all(1 not in pair for pair in products)
