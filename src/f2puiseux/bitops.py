@@ -20,7 +20,10 @@ constant.  The size sweep of a traced `dense` benchmark run
 1.48-1.52 over 2**10..2**16 bits, where the guard-field embedding that
 the comb replaced fit 1.57-1.62.  The fit stays below 2 because the
 table's fixed cost weighs most at the small end of the sweep; it is
-not a sub-quadratic bound.
+not a sub-quadratic bound.  With stride=m, clmul returns a * spread(b, m)
+by shifting m times as far when it walks b, so its table holds
+a * spread(v, m) and no spread is formed, unless a is the sparser
+operand: then a is walked against spread(b, m).
 
 Spreading and compressing carry all re-gridding: a body moves to an
 m-times finer grid by spread and back by compress.  Both run the
@@ -69,26 +72,26 @@ _MASKS: dict[tuple[int, int], tuple[int, ...]] = {}
 _held_bits = 0
 
 
-def clmul(a: int, b: int) -> int:
-    """Carry-less product of two bit-packed GF(2) polynomials."""
-    if a.bit_count() > b.bit_count():
-        a, b = b, a
+def clmul(a: int, b: int, *, stride: int = 1) -> int:
+    """Carry-less product a * spread(b, stride) of GF(2) polynomials."""
+    if a.bit_count() < b.bit_count():
+        a, b, stride = spread(b, stride), a, 1
     acc = 0
-    if a.bit_count() <= _COMB_CUTOFF:
-        while a:
-            low = a & -a
-            acc ^= b << (low.bit_length() - 1)
-            a ^= low
+    if b.bit_count() <= _COMB_CUTOFF:
+        while b:
+            low = b & -b
+            acc ^= a << stride * (low.bit_length() - 1)
+            b ^= low
         return acc
-    # table[v] is b times the polynomial whose bits are those of v
+    # table[v] is a times the spread of the polynomial whose bits are v's
     table = [0]
     for i in range(8):
-        shifted = b << i
+        shifted = a << stride * i
         table += [t ^ shifted for t in table]
-    a_bytes = a.to_bytes((a.bit_length() + 7) // 8, "little")
-    for i, byte in enumerate(a_bytes):
+    b_bytes = b.to_bytes((b.bit_length() + 7) // 8, "little")
+    for i, byte in enumerate(b_bytes):
         if byte:
-            acc ^= table[byte] << (8 * i)
+            acc ^= table[byte] << (8 * stride * i)
     return acc
 
 

@@ -19,17 +19,11 @@ modulo t**ceil(prec / 2**v), so y and every odd power are taken only to
 that reduced precision.
 
 Products with a spread operand stay on the coarse grid.  As t -> t**m
-is a ring endomorphism of GF(2)[t], a * spread(z, m) is the interleave
-of m class products compress(a >> r, m) * z, each 1/m the size, so it
-costs about 1/m of the quadratic work.  That covers the Newton step's
-a * y**(k+1), the even power split off an odd one (a * a**(2n) is
-a * spread(a**(2n/m), m), so no square is formed), and a unit product
-across two grids.  Each class pays a compress and a spread of the
-whole operand, so the split runs only for m <= 8 and class products
-of at least _SPLIT_BITS = 2048 bits.  In microbenchmarks (CPython
-3.11, 2-vCPU x86-64 VM) it won from there, 1.2x for m = 2 at 4096 bits
-and 1.4x for m = 8 at 16384; it lost below 2048 bits per class, and at
-m = 32 it still lost at 65536 bits.
+is a ring endomorphism of GF(2)[t], a * spread(z, m) is one stride
+product clmul(a, z, stride=m) (see bitops).  That covers the Newton
+step's a * y**(k+1), the even power split off an odd one (a * a**(2n)
+is a * spread(a**(2n/m), m), so no square is formed), and a unit
+product across two grids.
 """
 
 from __future__ import annotations
@@ -126,25 +120,9 @@ def kth_root_odd(a: F2Series, k: int) -> F2Series:
 # ---------------------------------------------------------------------------
 # int-level implementations (operands already truncated to prec)
 
-# bits per class product below which, as at strides above 8, the
-# split's compress and spread cascades cost more than they save
-_SPLIT_BITS = 2048
-
-
-def _mul(a: int, b: int, prec: int) -> int:
-    return trunc_bits(clmul(a, b), prec)
-
-
 def _mul_spread(a: int, z: int, m: int, prec: int) -> int:
-    # a * spread(z, m) modulo t**prec, for a < 2**prec; residue class r
-    # of the product is t**r * spread(compress(a >> r, m) * z, m)
-    if m == 1 or m > 8 or prec < _SPLIT_BITS * m:
-        return _mul(a, spread(trunc_bits(z, -(-prec // m)), m), prec)
-    out = 0
-    for r in range(m):
-        n = -(-(prec - r) // m)
-        out |= spread(_mul(compress(a >> r, m), trunc_bits(z, n), n), m) << r
-    return out
+    # a * spread(z, m) modulo t**prec, for a < 2**prec
+    return trunc_bits(clmul(a, trunc_bits(z, -(-prec // m)), stride=m), prec)
 
 
 def _power(a: int, p: int, k: int, prec: int) -> int:

@@ -2,9 +2,10 @@
 
 Everything here deliberately avoids the package's bit-packed kernel:
 series are coefficient lists, Puiseux terms are dicts keyed by exact
-fractions, and products are schoolbook convolutions.  The inverse and
-the linear-lift root finder fix one coefficient at a time straight from
-the defining equation, with no Newton step anywhere.  The reference
+fractions, and products are schoolbook convolutions.  The inverse
+fixes one coefficient at a time straight from the defining equation,
+and odd roots and powers come from 2-adic coordinates, with no Newton
+step anywhere.  The reference
 spread and compress move one coefficient at a time, where the package
 re-grids a whole body at once with shift-and-mask rounds.  The
 reference text codec parses, factors and formats with exact Fractions
@@ -15,23 +16,25 @@ the package walks its sieve and shares the verdict values.
 
 The scalar action has two references.  One is the composition
 u**(p/q) = (u**p)**(1/q), a power by repeated products (of the
-schoolbook inverse for p < 0), then the linear-lift odd root and one
+schoolbook inverse for p < 0), then the coordinate odd root and one
 grid doubling per factor of 2 of q.  The other reads off the 2-adic
 coordinates of a unit: over GF(2) every 1-unit of GF(2)[[t]] is
 uniquely a product of (1 + t**n)**a_n over odd n, with 2-adic integers
 a_n, so the group law is addition of coordinates and u**(p/q) divides
 p times the coordinates by q.  The coordinates come from shifts and
-XORs alone.
+XORs alone, and so does the unit rebuilt from them.
 """
 
 import re
+from bisect import bisect_left
+from collections import Counter
 from fractions import Fraction
 from math import lcm
 
 from f2puiseux import (DenominatorOverflow, ElementSyntaxError,
                        ExponentNotIncreasing, F2Series, FqVerdict,
                        Indistinguishable, L0Element, NonpositivePrecision,
-                       NonUnitLeadingTerm, PrimePower, PuiseuxUnit, pow_int)
+                       NonUnitLeadingTerm, PrimePower, PuiseuxUnit)
 
 
 def bits_to_coeffs(bits: int, prec: int) -> list[int]:
@@ -102,23 +105,6 @@ def schoolbook_inverse(a: F2Series) -> F2Series:
     return F2Series(coeffs_to_bits(y), a.prec)
 
 
-def linear_lift_root(a: F2Series, k: int) -> F2Series:
-    """Unique k-th root (odd k) by fixing one coefficient per step.
-
-    With b correct below t**m and residue 1, adding t**m changes b**k
-    below t**(m+1) by exactly t**m times the unit b**(k-1), whose
-    constant term is 1; so bit m of the root is the mismatch between
-    a and b**k at t**m.
-    """
-    assert k % 2 == 1 and a.coeffs & 1
-    bits = 1
-    for m in range(1, a.prec):
-        power = pow_int(F2Series(bits, m + 1), k)
-        if ((power.coeffs ^ a.coeffs) >> m) & 1:
-            bits |= 1 << m
-    return F2Series(bits, a.prec)
-
-
 def reference_scalar_mul_unit(r, u: PuiseuxUnit, *,
                               den_cap=1 << 16) -> PuiseuxUnit:
     """(u**p)**(1/q) as the composition of the coefficient-at-a-time
@@ -131,7 +117,8 @@ def reference_scalar_mul_unit(r, u: PuiseuxUnit, *,
         power = series_product(power, base)
     w = PuiseuxUnit(u.den, power)
     s = (q & -q).bit_length() - 1
-    w = PuiseuxUnit(w.den, linear_lift_root(w.body, q >> s))
+    w = PuiseuxUnit(w.den, F2Series(
+        coordinate_power(w.body.coeffs, 1, q >> s, w.body.prec), w.body.prec))
     for _ in range(s):
         if den_cap is not None and 2 * w.den > den_cap:
             raise DenominatorOverflow(
@@ -168,6 +155,25 @@ def coordinate_bits(n: int, prec: int) -> int:
     return ((prec - 1) // n).bit_length()
 
 
+def coordinate_power(bits: int, p: int, k: int, prec: int) -> int:
+    """(bits + O(t**prec))**(p/k) for a unit and odd k, from coordinates.
+
+    Each a_n becomes p * a_n / k modulo 2**e_n, where k is invertible,
+    and the unit is rebuilt as the product of 1 + t**(n * 2**v) over the
+    set bits v of the new a_n, each factor one shift and one XOR.
+    """
+    mask = (1 << prec) - 1
+    u = 1
+    for n, a in unit_coordinates(bits, prec).items():
+        modulus = 1 << coordinate_bits(n, prec)
+        c = p * a * pow(k, -1, modulus) % modulus
+        while c:
+            m = n * (c & -c)
+            u = (u ^ u << m) & mask
+            c &= c - 1
+    return u
+
+
 def coordinates_match(got: dict, want: dict, prec: int) -> bool:
     """got == want modulo 2**e_n for every odd n < prec."""
     return all((got.get(n, 0) - want.get(n, 0))
@@ -182,14 +188,19 @@ def unit_terms(u: PuiseuxUnit) -> dict[Fraction, int]:
 
 
 def term_product(tu: dict, tv: dict, aprec: Fraction) -> dict[Fraction, int]:
-    """Convolve two exponent dicts over GF(2), truncated below aprec."""
-    out: dict[Fraction, int] = {}
-    for e1 in tu:
-        for e2 in tv:
-            e = e1 + e2
-            if e < aprec:
-                out[e] = out.get(e, 0) ^ 1
-    return {e: c for e, c in out.items() if c}
+    """Convolve two exponent dicts over GF(2), truncated below aprec.
+
+    The exponents are added as numerators over their lcm denominator,
+    and a sum that occurs an odd number of times is a term.
+    """
+    den = lcm(aprec.denominator, *(e.denominator for e in (*tu, *tv)))
+    limit = int(aprec * den)
+    right = sorted(int(e * den) for e in tv)
+    counts = Counter()
+    for e in tu:
+        i = int(e * den)
+        counts.update(map(i.__add__, right[:bisect_left(right, limit - i)]))
+    return {Fraction(i, den): 1 for i, c in counts.items() if c & 1}
 
 
 # ---------------------------------------------------------------------------

@@ -64,7 +64,7 @@ def powers():
     # k times the coordinates of a**(p/k) are p times those of a
     rng = random.Random(12)
     cases, bad = 0, []
-    for prec in (1, 2, 3, 63, 64, 65, 256, 257):
+    for prec in (1, 2, 3, 63, 64, 65, 256, 257, 1025, 4097):
         for _ in range(40):
             a = rng.getrandbits(prec) | 1
             p, k = rng.randrange(-20, 21), rng.randrange(1, 50, 2)

@@ -25,7 +25,7 @@ from f2puiseux.axioms import (check_root_bijectivity,
                               check_vector_space_axioms, random_unit, _rng)
 from f2puiseux.cli import main
 
-from oracles import linear_lift_root
+from oracles import coordinate_power
 
 
 def _cli_records(capsys, *argv):
@@ -57,7 +57,8 @@ def test_criterion_1_finite_field_equivalence_at_desk_scale(capsys):
 
 
 def test_criterion_2_odd_root_round_trips_and_uniqueness():
-    """Odd k-th roots at prec 256: bit-exact round trips, two liftings agree."""
+    """Odd k-th roots at prec 256: bit-exact round trips, and Newton agrees
+    with the root rebuilt from 2-adic coordinates."""
     rng = random.Random(20240)
     odd_ks = range(1, 50, 2)
     trips = 0
@@ -78,11 +79,10 @@ def test_criterion_2_odd_root_round_trips_and_uniqueness():
         a = F2Series(rng.getrandbits(256) | 1, 256)
         k = rng.choice(range(3, 50, 2))
         newton = kth_root_odd(a, k)
-        linear = linear_lift_root(a, k)
-        assert newton.coeffs == linear.coeffs
+        assert newton.coeffs == coordinate_power(a.coeffs, 1, k, 256)
         agreements += 1
     print(f"\nACCEPTANCE 2 PASS: {trips} bit-exact round trips at prec 256, "
-          f"Newton == linear lifting on {agreements} instances")
+          f"Newton == coordinate root on {agreements} instances")
 
 
 def test_criterion_3_square_root_inverts_squaring():

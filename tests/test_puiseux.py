@@ -11,6 +11,7 @@ from f2puiseux import (DenominatorOverflow, F2Series, Indistinguishable,
                        element_root, element_scalar_mul, elements_agree,
                        format_unit, scalar_mul_unit, series, unit_inv,
                        unit_mul, unit_pow, unit_root, unit_sqrt, units_agree)
+from f2puiseux.bitops import _COMB_CUTOFF
 
 from oracles import (coordinates_match, reference_scalar_mul_unit,
                      reference_spread, term_product, unit_coordinates,
@@ -114,21 +115,23 @@ class TestUnitMul:
                                               (12, 8), (7, 5), (1, 8),
                                               (8, 1)])
     def test_mixed_grids_above_the_split_cutoff(self, sparse, dense):
-        # the unit on the coarser grid multiplies there at the stride m,
-        # in m residue classes once the common precision passes
-        # series._SPLIT_BITS * m (m <= 8).  The unit on the grid 1/sparse
-        # holds a dozen terms so that the term oracle stays cheap.
+        # the unit on the coarser grid multiplies there at the stride m.
+        # The unit on the grid 1/sparse holds _COMB_CUTOFF or one more
+        # terms, so the kernel walks it on either side of the comb
+        # cutoff, at the stride or against the spread body; the term
+        # oracle stays cheap at a few hundred thousand products
         rng = random.Random(sparse * 100 + dense)
         d = lcm(sparse, dense)
-        aprec = Q(series._SPLIT_BITS * (d // min(sparse, dense)) + 3, d)
+        aprec = Q(2048 * (d // min(sparse, dense)) + 3, d)
         prec = ceil(aprec * sparse)
-        u = U(sparse, sum(1 << j for j in rng.sample(range(prec), 12)) | 1,
-              prec)
-        v = random_unit(rng, dense, ceil(aprec * dense))
-        prod = unit_mul(u, v)
-        assert prod.aprec >= aprec
-        assert unit_terms(prod) == term_product(unit_terms(u), unit_terms(v),
-                                                prod.aprec)
+        for weight in (_COMB_CUTOFF, _COMB_CUTOFF + 1):
+            body = sum(1 << j for j in rng.sample(range(1, prec), weight - 1))
+            u = U(sparse, body | 1, prec)
+            v = random_unit(rng, dense, ceil(aprec * dense))
+            prod = unit_mul(u, v)
+            assert prod.aprec >= aprec
+            assert unit_terms(prod) == term_product(
+                unit_terms(u), unit_terms(v), prod.aprec)
 
     def test_cap_enforced(self):
         with pytest.raises(DenominatorOverflow):

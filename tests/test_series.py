@@ -13,7 +13,7 @@ from f2puiseux.bitops import (_COMB_CUTOFF, _SPARSE_SCAN, bit_indices,
                               clmul, compress, spread)
 
 from oracles import (bits_to_coeffs, coeffs_to_bits, convolve_mod2,
-                     coordinates_match, linear_lift_root, reference_compress,
+                     coordinate_power, coordinates_match, reference_compress,
                      reference_spread, schoolbook_inverse, series_product,
                      unit_coordinates)
 
@@ -96,6 +96,9 @@ class TestMul:
         assert pow_int(add(a, b), 2) == add(pow_int(a, 2), pow_int(b, 2))
 
 
+STRIDES = [1, 2, 3, 7, 8, 9, 16, 64]
+
+
 def clmul_oracle(a, b):
     # schoolbook cost is popcount(a) * len(b): pass the sparser first
     return coeffs_to_bits(convolve_mod2(bits_to_coeffs(a, a.bit_length()),
@@ -142,6 +145,24 @@ class TestCarrylessKernel:
     def test_zero(self):
         assert clmul(0, 12345) == 0
         assert clmul(12345, 0) == 0
+        for m in STRIDES:
+            assert clmul(0, 12345, stride=m) == 0
+            assert clmul(12345, 0, stride=m) == 0
+            assert clmul(0, 0, stride=m) == 0
+
+    @pytest.mark.parametrize("m", STRIDES)
+    def test_stride_matches_convolution(self, m):
+        # clmul(a, b, stride=m) is a * spread(b, m).  The walked operand
+        # holds _COMB_CUTOFF or _COMB_CUTOFF + 1 set bits: b at the
+        # stride m when a is denser, else a against spread(b, m)
+        rng = random.Random(m)
+        dense = sum(1 << j for j in rng.sample(range(400), 250))
+        for weight in (_COMB_CUTOFF, _COMB_CUTOFF + 1):
+            walked = sum(1 << j for j in rng.sample(range(300), weight))
+            assert (clmul(dense, walked, stride=m)
+                    == clmul_oracle(reference_spread(walked, m), dense))
+            assert (clmul(walked, dense, stride=m)
+                    == clmul_oracle(reference_spread(dense, m), walked))
 
     @given(kernel_operand(), kernel_operand())
     @settings(max_examples=60, deadline=None)
@@ -489,15 +510,15 @@ class TestKthRoot:
             a = S(rng.getrandbits(prec) | 1, prec)
             assert pow_int(kth_root_odd(a, k), k) == a
 
-    def test_agrees_with_linear_lift_oracle(self):
+    def test_agrees_with_coordinate_oracle(self):
         rng = random.Random(23)
         for _ in range(40):
             prec = rng.randrange(1, 120)
             a = S(rng.getrandbits(prec) | 1, prec)
             k = rng.choice(range(3, 50, 2))
             newton = kth_root_odd(a, k)
-            linear = linear_lift_root(a, k)
-            assert newton.coeffs == linear.coeffs  # bit for bit
+            # bit for bit
+            assert newton.coeffs == coordinate_power(a.coeffs, 1, k, prec)
 
 
 # each Newton rung divides the precision by a power of 2, rounding up,
@@ -508,17 +529,19 @@ LADDER_PRECS = sorted({(1 << j) + d for j in range(11) for d in (-1, 0, 1)}
 
 class TestNewtonAgainstOracles:
     """inv is the k = 1 case of the inverse-root loop, kth_root_odd the
-    others; both must match the coefficient-at-a-time oracles, and their
-    results at thousands of bits must multiply or power back."""
+    others; both must match the oracles (coefficient at a time for the
+    inverse, from 2-adic coordinates for the roots), and their results
+    at thousands of bits must multiply or power back."""
 
     @pytest.fixture
     def comb_calls(self, monkeypatch):
         calls = []
 
-        def traced(a, b):
+        def traced(a, b, *, stride=1):
             if min(a.bit_count(), b.bit_count()) > _COMB_CUTOFF:
-                calls.append(max(a.bit_length(), b.bit_length()))
-            return clmul(a, b)
+                calls.append(max(a.bit_length(),
+                                 spread(b, stride).bit_length()))
+            return clmul(a, b, stride=stride)
         monkeypatch.setattr(series, "clmul", traced)
         return calls
 
@@ -531,7 +554,7 @@ class TestNewtonAgainstOracles:
                 assert inv(a).coeffs == schoolbook_inverse(a).coeffs, prec
             else:
                 got = kth_root_odd(a, k).coeffs
-                assert got == linear_lift_root(a, k).coeffs, prec
+                assert got == coordinate_power(a.coeffs, 1, k, prec), prec
 
     @pytest.mark.parametrize("k", [1, 3, 5, 9, 31, 49])
     def test_dense_operands_reach_the_comb(self, k, comb_calls):
@@ -574,7 +597,7 @@ class TestCoordinates:
                                              ca, prec)
 
 
-SPLIT_STRIDES = list(range(1, 13)) + [16, 32]
+SPREAD_STRIDES = list(range(1, 13)) + [16, 32]
 
 
 def spread_product_oracle(a, z, m, prec):
@@ -584,14 +607,18 @@ def spread_product_oracle(a, z, m, prec):
         prec))
 
 
-class TestMulSpread:
-    """series._mul_spread multiplies by a spread operand on the coarse
-    grid: split into residue classes, or one product below the cutoff."""
+def with_weight(rng, n, weight):
+    """An n-bit operand with bit 0 and weight set bits in all."""
+    return sum(1 << j for j in rng.sample(range(1, n), weight - 1)) | 1
 
-    @pytest.mark.parametrize("m", SPLIT_STRIDES)
-    def test_every_class_split_matches_convolution(self, m, monkeypatch):
-        # with no cutoff every stride up to 8 splits, down to prec < m
-        monkeypatch.setattr(series, "_SPLIT_BITS", 0)
+
+class TestMulSpread:
+    """series._mul_spread is one stride product: the kernel walks z at
+    the stride m, or walks a against spread(z, m) when a is sparser."""
+
+    @pytest.mark.parametrize("m", SPREAD_STRIDES)
+    def test_every_class_split_matches_convolution(self, m):
+        # every stride at small precisions, down to prec < m
         rng = random.Random(m)
         for prec in sorted({1, 2, m - 1, m, m + 1, 2 * m + 1, 7 * m + 3,
                             97, 200} - {0}):
@@ -600,34 +627,39 @@ class TestMulSpread:
             assert (series._mul_spread(a, z, m, prec)
                     == spread_product_oracle(a, z, m, prec)), prec
 
-    @pytest.mark.parametrize("m", SPLIT_STRIDES)
+    @pytest.mark.parametrize("m", SPREAD_STRIDES)
     def test_dense_operands_across_the_cutoff(self, m):
-        # at the cutoff, one below it and one above it; above 8 the
-        # stride never splits.  The kernel is checked against
-        # convolution above, so here one kernel product of the spread
-        # operand is the reference.
+        # a dense a at about 2048 * m bits walks z at the stride m, on
+        # both sides of the comb cutoff and densely.  The kernel is
+        # checked against convolution above, so one stride-1 product of
+        # the spread operand is the reference here.
         rng = random.Random(m)
-        for prec in (series._SPLIT_BITS * m + d for d in (-1, 0, 1)):
+        for prec in (2048 * m + d for d in (-1, 0, 1)):
+            n = -(-prec // m)
             a = rng.getrandbits(prec) | 1
-            z = rng.getrandbits(-(-prec // m)) | 1
-            want = clmul(a, reference_spread(z, m)) & ((1 << prec) - 1)
-            assert series._mul_spread(a, z, m, prec) == want, prec
+            for z in (with_weight(rng, n, _COMB_CUTOFF),
+                      with_weight(rng, n, _COMB_CUTOFF + 1),
+                      rng.getrandbits(n) | 1):
+                want = clmul(a, reference_spread(z, m)) & ((1 << prec) - 1)
+                assert series._mul_spread(a, z, m, prec) == want, prec
 
     @pytest.mark.parametrize("m", [2, 3, 8])
     def test_sparse_operand_above_the_cutoff_matches_convolution(self, m):
-        # a few dozen terms keep the convolution cheap at full size
+        # a sparser a is walked against the spread z, on both sides of
+        # the comb cutoff; a sparse a keeps the convolution cheap
         rng = random.Random(m)
-        prec = series._SPLIT_BITS * m + m - 1
-        a = sum(1 << j for j in rng.sample(range(prec), 40)) | 1
+        prec = 2048 * m + m - 1
         z = rng.getrandbits(-(-prec // m))
-        assert (series._mul_spread(a, z, m, prec)
-                == spread_product_oracle(a, z, m, prec))
+        for weight in (_COMB_CUTOFF, _COMB_CUTOFF + 1):
+            a = with_weight(rng, prec, weight)
+            assert (series._mul_spread(a, z, m, prec)
+                    == spread_product_oracle(a, z, m, prec)), weight
 
     @pytest.mark.parametrize("c,v", [(1, 1), (3, 1), (3, 2), (5, 0), (5, 3),
                                      (9, 0), (7, 1), (17, 0)])
     def test_pow_across_the_cutoff(self, c, v):
-        # the factors a**(2**j) of the odd part split at the larger
-        # precisions only, and the power of 2 spreads the odd power
+        # the dense factors a**(2**j) of the odd part take the stride
+        # comb, and the power of 2 spreads the odd power
         rng = random.Random(c << 8 | v)
         for prec in (4095, 4097, 8193, 16385):
             a = S(rng.getrandbits(prec) | 1, prec)
@@ -690,9 +722,9 @@ class TestPow:
             expected = mul(expected, S(b, prec))
         products = []
 
-        def counted(x, y):
+        def counted(x, y, **stride):
             products.append((x, y))
-            return clmul(x, y)
+            return clmul(x, y, **stride)
         monkeypatch.setattr(series, "clmul", counted)
         assert series._power(b, e, 1, prec) == expected.coeffs
         assert len(products) == e.bit_count() - 1
