@@ -7,23 +7,29 @@ whole words at C speed; this module only adds the operations ints do
 not provide natively.
 
 Products of operands with few set bits shift and XOR one copy of the
-denser operand per set bit.  Above _COMB_CUTOFF set bits in the
-sparser operand, clmul switches to a comb with an 8-bit window (after
-Hankerson, Menezes and Vanstone, Guide to Elliptic Curve Cryptography,
-Alg. 2.36): a 256-entry table holds the products of the denser operand
-with every polynomial of degree below 8, and the sparser operand is
-walked a byte at a time, one shift and one XOR per nonzero byte.  That
-is about n/8 shift-XORs for an n-bit operand, each on ints of up to 2n
-bits, so the comb is quadratic in word operations, with a small
-constant.  The size sweep of a traced `dense` benchmark run
-(perfbench/run.py --trace 1) fits a log-log scaling exponent of
-1.48-1.52 over 2**10..2**16 bits, where the guard-field embedding that
-the comb replaced fit 1.57-1.62.  The fit stays below 2 because the
-table's fixed cost weighs most at the small end of the sweep; it is
-not a sub-quadratic bound.  With stride=m, clmul returns a * spread(b, m)
-by shifting m times as far when it walks b, so its table holds
-a * spread(v, m) and no spread is formed, unless a is the sparser
-operand: then a is walked against spread(b, m).
+denser operand per set bit.  Above a cutoff of set bits in the sparser
+operand, clmul switches to a comb (after Hankerson, Menezes and
+Vanstone, Guide to Elliptic Curve Cryptography, Alg. 2.36) whose
+window w is sized to the walked, sparser operand: a table of 2**w
+entries holds the products of the denser operand with every polynomial
+of degree below w, and the sparser operand is walked w bits at a time,
+one shift and one XOR per nonzero digit.  Below _WIDE_BITS bits w is 4:
+a 16-entry table is repaid from _NARROW_CUTOFF + 1 set bits, and the
+digits are read at C speed from the operand's hex string, translated to
+the byte values 0-15 and reversed so that the lowest digit comes first.
+From _WIDE_BITS bits w is 8, from _COMB_CUTOFF + 1 set bits, and the
+digits are the bytes of to_bytes: there the shorter walk outweighs the
+256-entry table.  That is about n/w shift-XORs for an n-bit operand,
+each on ints of up to 2n bits, so the comb is quadratic in word
+operations, with a small constant.  The size sweep of a traced `dense`
+benchmark run (perfbench/run.py --trace 1) fits a log-log scaling
+exponent of 1.51-1.56 over 2**10..2**16 bits, where the guard-field
+embedding that the comb replaced fit 1.57-1.62.  The fit stays below 2
+because the table's fixed cost weighs most at the small end of the
+sweep; it is not a sub-quadratic bound.  With stride=m, clmul returns
+a * spread(b, m) by shifting m times as far when it walks b, so its
+table holds a * spread(v, m) and no spread is formed, unless a is the
+sparser operand: then a is walked against spread(b, m).
 
 Spreading and compressing carry all re-gridding: a body moves to an
 m-times finer grid by spread and back by compress.  Both run the
@@ -54,10 +60,21 @@ from __future__ import annotations
 import itertools
 from math import gcd
 
-# popcount of the sparser operand above which the comb's fixed cost of
-# building its table is repaid; re-gridded operands are long but
-# sparse, so bit length would misjudge them
+# set bits of the walked (sparser) operand above which clmul's comb
+# repays its table, chosen by the operand's bit length: below _WIDE_BITS
+# the 16-entry table of 4-bit windows, from _WIDE_BITS the 256-entry
+# table of 8-bit windows.  Timed inside clmul (2-vCPU VM, Python 3.11),
+# the 4-bit comb took 0.4-0.9 times as long as the 8-bit one on dense
+# operands of 128-640 bits and lost from about 900 bits; against
+# shifting and XORing per set bit it broke even at 24-28 set bits on
+# the 64-128-bit operands that most products walk (40-60 on 256-1000
+# bits), and the 8-bit comb at 90-110 on 1024-4096 bits.  Set bits, not
+# bits, are counted: re-gridded operands are long but sparse, so bit
+# length alone would misjudge them
+_NARROW_CUTOFF = 28
 _COMB_CUTOFF = 96
+_WIDE_BITS = 1024
+_HEX_DIGITS = bytes.maketrans(b"0123456789abcdef", bytes(range(16)))
 
 # bits per set bit from which bit_indices walks str.find rather than
 # selecting with itertools.compress; the two cost the same at about one
@@ -76,8 +93,9 @@ def clmul(a: int, b: int, *, stride: int = 1) -> int:
     """Carry-less product a * spread(b, stride) of GF(2) polynomials."""
     if a.bit_count() < b.bit_count():
         a, b, stride = spread(b, stride), a, 1
+    w = _comb_window(b)
     acc = 0
-    if b.bit_count() <= _COMB_CUTOFF:
+    if not w:
         while b:
             low = b & -b
             acc ^= a << stride * (low.bit_length() - 1)
@@ -85,14 +103,25 @@ def clmul(a: int, b: int, *, stride: int = 1) -> int:
         return acc
     # table[v] is a times the spread of the polynomial whose bits are v's
     table = [0]
-    for i in range(8):
+    for i in range(w):
         shifted = a << stride * i
         table += [t ^ shifted for t in table]
-    b_bytes = b.to_bytes((b.bit_length() + 7) // 8, "little")
-    for i, byte in enumerate(b_bytes):
-        if byte:
-            acc ^= table[byte] << (8 * stride * i)
+    if w == 8:
+        digits = b.to_bytes((b.bit_length() + 7) // 8, "little")
+    else:
+        digits = format(b, "x").encode().translate(_HEX_DIGITS)[::-1]
+    step = w * stride
+    for i, digit in enumerate(digits):
+        if digit:
+            acc ^= table[digit] << step * i
     return acc
+
+
+def _comb_window(b: int) -> int:
+    """Bits per comb digit when clmul walks b, or 0 for shift-and-XOR."""
+    if b.bit_length() < _WIDE_BITS:
+        return 4 if b.bit_count() > _NARROW_CUTOFF else 0
+    return 8 if b.bit_count() > _COMB_CUTOFF else 0
 
 
 def trunc_bits(x: int, n: int) -> int:

@@ -37,16 +37,19 @@ from f2puiseux import (DenominatorOverflow, ElementSyntaxError,
                        NonUnitLeadingTerm, PrimePower, PuiseuxUnit)
 
 
+_BIT_VALUES = bytes.maketrans(b"01", b"\0\1")
+_BIT_DIGITS = bytes.maketrans(b"\0\1", b"01")
+
+
 def bits_to_coeffs(bits: int, prec: int) -> list[int]:
-    return [(bits >> j) & 1 for j in range(prec)]
+    """Coefficients 0..prec-1, read off the binary digits in one pass."""
+    digits = format(bits, "b").encode()[::-1][:prec].translate(_BIT_VALUES)
+    return list(digits) + [0] * (prec - len(digits))
 
 
-def coeffs_to_bits(coeffs) -> int:
-    out = 0
-    for j, c in enumerate(coeffs):
-        if c & 1:
-            out |= 1 << j
-    return out
+def coeffs_to_bits(coeffs: list[int]) -> int:
+    """The int whose bit j is coefficient j, each 0 or 1."""
+    return int(bytes(coeffs[::-1]).translate(_BIT_DIGITS) or b"0", 2)
 
 
 def _bitmap(indices) -> int:
@@ -71,14 +74,19 @@ def reference_compress(x: int, m: int) -> int:
 
 
 def convolve_mod2(a, b, prec=None) -> list[int]:
-    """Schoolbook polynomial product over GF(2), optionally truncated."""
+    """Schoolbook polynomial product over GF(2), optionally truncated.
+
+    Coefficient k is the parity of the pairs of nonzero coefficients
+    a_i, b_j with i + j = k; only those pairs are visited.
+    """
     if prec is None:
         prec = len(a) + len(b) - 1 if a and b else 1
     out = [0] * prec
+    ones = [j for j, bj in enumerate(b[:prec]) if bj]
     for i, ai in enumerate(a[:prec]):
         if ai:
-            for j, bj in enumerate(b[:prec - i]):
-                out[i + j] ^= bj
+            for j in ones[:bisect_left(ones, prec - i)]:
+                out[i + j] ^= 1
     return out
 
 

@@ -5,8 +5,10 @@ Run it from the repository root on any supported interpreter:
     PYTHONPATH=src python tests/smoke.py
 
 It replays the golden CLI transcripts of tests/cli_golden.json through
-`cli.main`, runs the four demos, and checks powers a**(p/k) from
-`series._power` against the 2-adic coordinates of tests/oracles.py.
+`cli.main`, runs the four demos, checks powers a**(p/k) from
+`series._power` against the 2-adic coordinates of tests/oracles.py, and
+checks `bitops.clmul` against a plain shift-and-XOR product on both
+sides of each comb cutoff and of the window switch.
 It prints one line per part and exits 1 if any part fails.  pytest
 does not collect this file; the Tier-1 suite covers the same ground
 where pytest is installed.
@@ -22,7 +24,7 @@ from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 from unittest import mock
 
-from f2puiseux import series
+from f2puiseux import bitops, series
 from f2puiseux.cli import main
 
 from oracles import coordinates_match, unit_coordinates
@@ -78,10 +80,46 @@ def powers():
     return cases, bad
 
 
+def shift_xor(a, b, m):
+    """a * spread(b, m): one copy of a per set bit of b, shifted by m."""
+    out = 0
+    for j, digit in enumerate(reversed(bin(b)[2:])):
+        if digit == "1":
+            out ^= a << m * j
+    return out
+
+
+def kernel():
+    # walked operands just below, at and above the window switch, with
+    # set bits at each comb cutoff and one either side; b is walked at
+    # the stride, and in the swap a sparser a against spread(b, m)
+    rng = random.Random(14)
+    wide = bitops._WIDE_BITS
+    weights = [c + d for c in (bitops._NARROW_CUTOFF, bitops._COMB_CUTOFF)
+               for d in (-1, 0, 1)]
+    cases, bad = 0, []
+    for length in (200, 512, wide - 1, wide, wide + 1, 4 * wide):
+        for weight in weights:
+            walked = sum(1 << j for j in rng.sample(range(1, length - 1),
+                                                    weight - 2))
+            walked |= 1 | 1 << (length - 1)
+            dense = rng.getrandbits(length + 40) | (1 << 200) - 1
+            for m in (1, 2, 3, 8, 9, 64):
+                cases += 2
+                if bitops.clmul(dense, walked, stride=m) != shift_xor(
+                        dense, walked, m):
+                    bad.append((length, weight, m))
+                if bitops.clmul(walked, dense, stride=m) != shift_xor(
+                        walked, dense, m):
+                    bad.append((length, weight, m, "swap"))
+    return cases, bad
+
+
 if __name__ == "__main__":
     failed = False
     for name, part in (("golden transcripts", golden), ("demos", demos),
-                       ("powers against coordinates", powers)):
+                       ("powers against coordinates", powers),
+                       ("clmul against shift-and-XOR", kernel)):
         total, bad = part()
         failed |= bool(bad)
         print(f"{name}: {total - len(bad)} of {total} pass"

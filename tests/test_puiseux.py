@@ -11,11 +11,11 @@ from f2puiseux import (DenominatorOverflow, F2Series, Indistinguishable,
                        element_root, element_scalar_mul, elements_agree,
                        format_unit, scalar_mul_unit, series, unit_inv,
                        unit_mul, unit_pow, unit_root, unit_sqrt, units_agree)
-from f2puiseux.bitops import _COMB_CUTOFF
 
 from oracles import (coordinates_match, reference_scalar_mul_unit,
                      reference_spread, term_product, unit_coordinates,
                      unit_terms)
+from test_series import comb_switch
 
 
 def U(den, bits, prec):
@@ -116,15 +116,17 @@ class TestUnitMul:
                                               (8, 1)])
     def test_mixed_grids_above_the_split_cutoff(self, sparse, dense):
         # the unit on the coarser grid multiplies there at the stride m.
-        # The unit on the grid 1/sparse holds _COMB_CUTOFF or one more
-        # terms, so the kernel walks it on either side of the comb
-        # cutoff, at the stride or against the spread body; the term
-        # oracle stays cheap at a few hundred thousand products
+        # The unit on the grid 1/sparse holds one term fewer than the
+        # kernel's comb switch for its length, or just enough, so the
+        # kernel walks it on either side of the switch, at the stride or
+        # against the spread body; the term oracle stays cheap at a few
+        # hundred thousand products
         rng = random.Random(sparse * 100 + dense)
         d = lcm(sparse, dense)
         aprec = Q(2048 * (d // min(sparse, dense)) + 3, d)
         prec = ceil(aprec * sparse)
-        for weight in (_COMB_CUTOFF, _COMB_CUTOFF + 1):
+        switch = comb_switch(prec)
+        for weight in (switch - 1, switch):
             body = sum(1 << j for j in rng.sample(range(1, prec), weight - 1))
             u = U(sparse, body | 1, prec)
             v = random_unit(rng, dense, ceil(aprec * dense))
@@ -354,6 +356,34 @@ class TestCoordinates:
             want = {n: cu.get(n, 0) + cv.get(n, 0) for n in cu.keys() | cv}
             assert coordinates_match(
                 coordinates_on(unit_mul(u, v), den, prec), want, prec)
+
+    @pytest.mark.parametrize("prec", COORD_PRECS)
+    def test_mixed_grid_products_add_coordinates(self, prec):
+        # in t = x**(1/d) on the common grid of two units whose grids
+        # divide d, each known below t**prec
+        rng = random.Random(prec)
+        for _ in range(20):
+            du, dv = rng.sample((1, 2, 3, 4, 6, 8, 12), 2)
+            d = lcm(du, dv)
+            u = random_unit(rng, du, -(-prec * du // d))
+            v = random_unit(rng, dv, -(-prec * dv // d))
+            cu, cv = coordinates_on(u, d, prec), coordinates_on(v, d, prec)
+            want = {n: cu.get(n, 0) + cv.get(n, 0) for n in cu.keys() | cv}
+            assert coordinates_match(
+                coordinates_on(unit_mul(u, v), d, prec), want, prec), (du, dv)
+
+    @pytest.mark.parametrize("prec", COORD_PRECS)
+    def test_square_root_keeps_coordinates_on_the_finer_grid(self, prec):
+        # the root of u has, in t = x**(1/(2 den)), the coordinates u has
+        # in t = x**(1/den): half those of u on the finer grid
+        rng = random.Random(prec)
+        for _ in range(20):
+            den = rng.choice((1, 2, 3, 6))
+            u = random_unit(rng, den, prec)
+            got = coordinates_on(unit_sqrt(u), 2 * den, prec)
+            assert coordinates_match(got, coordinates_on(u, den, prec), prec)
+            assert coordinates_match(scaled(got, 2),
+                                     coordinates_on(u, 2 * den, prec), prec)
 
     @pytest.mark.parametrize("prec", COORD_PRECS)
     def test_scalar_action_divides_coordinates(self, prec):

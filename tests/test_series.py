@@ -9,8 +9,9 @@ from f2puiseux import (EvenK, F2Series, NotAUnit, OddSupport, add, inv,
                        kth_root_odd, mul, pow_int, series, sqrt)
 from f2puiseux import bitops
 from f2puiseux.puiseux import DEFAULT_DEN_CAP
-from f2puiseux.bitops import (_COMB_CUTOFF, _SPARSE_SCAN, bit_indices,
-                              clmul, compress, spread)
+from f2puiseux.bitops import (_COMB_CUTOFF, _NARROW_CUTOFF, _SPARSE_SCAN,
+                              _WIDE_BITS, bit_indices, clmul, compress,
+                              spread)
 
 from oracles import (bits_to_coeffs, coeffs_to_bits, convolve_mod2,
                      coordinate_power, coordinates_match, reference_compress,
@@ -100,25 +101,41 @@ STRIDES = [1, 2, 3, 7, 8, 9, 16, 64]
 
 
 def clmul_oracle(a, b):
-    # schoolbook cost is popcount(a) * len(b): pass the sparser first
     return coeffs_to_bits(convolve_mod2(bits_to_coeffs(a, a.bit_length()),
                                         bits_to_coeffs(b, b.bit_length())))
 
 
+def walked_window(a, b):
+    """The comb window clmul(a, b) walks with, by the kernel's own rule:
+    it walks the operand with fewer set bits, b on a tie."""
+    return bitops._comb_window(min(b, a, key=int.bit_count))
+
+
+def comb_switch(length):
+    """The fewest set bits from which clmul walks a length-bit operand
+    with a comb rather than shifting and XORing per set bit."""
+    return next(n for n in range(1, length + 1)
+                if bitops._comb_window((1 << (n - 1)) - 1 | 1 << (length - 1)))
+
+
 @st.composite
 def kernel_operand(draw):
-    """Bit lengths around 512 and set-bit counts around the comb cutoff."""
-    length = draw(st.one_of(st.integers(1, 1100), st.integers(500, 530)))
-    weight = draw(st.one_of(st.integers(1, length),
-                            st.integers(_COMB_CUTOFF - 4, _COMB_CUTOFF + 4)))
+    """Bit lengths around 512 and around the window switch, and set-bit
+    counts around both comb cutoffs."""
+    length = draw(st.one_of(st.integers(1, 1100), st.integers(500, 530),
+                            st.integers(_WIDE_BITS - 8, _WIDE_BITS + 8)))
+    weight = draw(st.one_of(
+        st.integers(1, length),
+        st.integers(_NARROW_CUTOFF - 4, _NARROW_CUTOFF + 4),
+        st.integers(_COMB_CUTOFF - 4, _COMB_CUTOFF + 4)))
     rng = random.Random(draw(st.integers(0, 2 ** 32)))
     ones = rng.sample(range(length), min(weight, length))
     return sum(1 << j for j in ones) | (1 << (length - 1))
 
 
 class TestCarrylessKernel:
-    """Both paths, shift-and-XOR and the byte-window comb, must agree
-    with plain convolution."""
+    """Every path, shift-and-XOR and the comb with 4-bit and with 8-bit
+    windows, must agree with plain convolution."""
 
     @pytest.mark.parametrize("la,lb", [
         (511, 511), (512, 512), (513, 513), (600, 2000), (2000, 513),
@@ -133,9 +150,12 @@ class TestCarrylessKernel:
         assert clmul(a, b) == want
 
     def test_dense_operands_max_column_sums(self):
-        # all-ones inputs fill every byte window and every table entry
+        # all-ones inputs fill every window and every table entry, of
+        # the 16-entry table below _WIDE_BITS bits and the 256-entry one
+        # from there
         rng = random.Random(7)
-        for n in (_COMB_CUTOFF, _COMB_CUTOFF + 1, 513, 520, 1024, 1031):
+        for n in (_NARROW_CUTOFF, _NARROW_CUTOFF + 1, _COMB_CUTOFF,
+                  _COMB_CUTOFF + 1, 513, 520, _WIDE_BITS, 1031):
             a = (1 << n) - 1
             want = coeffs_to_bits(convolve_mod2([1] * n, [1] * n))
             assert clmul(a, a) == want
@@ -153,16 +173,39 @@ class TestCarrylessKernel:
     @pytest.mark.parametrize("m", STRIDES)
     def test_stride_matches_convolution(self, m):
         # clmul(a, b, stride=m) is a * spread(b, m).  The walked operand
-        # holds _COMB_CUTOFF or _COMB_CUTOFF + 1 set bits: b at the
-        # stride m when a is denser, else a against spread(b, m)
+        # holds set bits on both sides of the comb switch and around
+        # _COMB_CUTOFF: b at the stride m when a is denser, else a
+        # against spread(b, m)
         rng = random.Random(m)
         dense = sum(1 << j for j in rng.sample(range(400), 250))
-        for weight in (_COMB_CUTOFF, _COMB_CUTOFF + 1):
+        switch = comb_switch(300)
+        for weight in (switch - 1, switch, _COMB_CUTOFF, _COMB_CUTOFF + 1):
             walked = sum(1 << j for j in rng.sample(range(300), weight))
             assert (clmul(dense, walked, stride=m)
                     == clmul_oracle(reference_spread(walked, m), dense))
             assert (clmul(walked, dense, stride=m)
                     == clmul_oracle(reference_spread(dense, m), walked))
+
+    @pytest.mark.parametrize("m", STRIDES)
+    def test_window_switch_matches_convolution(self, m):
+        # walked operands of _WIDE_BITS - 1, _WIDE_BITS and _WIDE_BITS + 1
+        # bits, at each comb cutoff and one either side, take every path,
+        # both as b at the stride m and, in the swap, as a sparser a
+        # walked against spread(b, m)
+        rng = random.Random(m)
+        dense = sum(1 << j for j in rng.sample(range(300), 200))
+        windows = set()
+        for length in (_WIDE_BITS - 1, _WIDE_BITS, _WIDE_BITS + 1):
+            for weight in (c + d for c in (_NARROW_CUTOFF, _COMB_CUTOFF)
+                           for d in (-1, 0, 1)):
+                walked = sum(1 << j for j in rng.sample(
+                    range(1, length - 1), weight - 2)) | 1 | 1 << (length - 1)
+                windows.add(walked_window(dense, walked))
+                assert (clmul(dense, walked, stride=m)
+                        == clmul_oracle(dense, reference_spread(walked, m)))
+                assert (clmul(walked, dense, stride=m)
+                        == clmul_oracle(walked, reference_spread(dense, m)))
+        assert windows == {0, 4, 8}
 
     @given(kernel_operand(), kernel_operand())
     @settings(max_examples=60, deadline=None)
@@ -538,7 +581,7 @@ class TestNewtonAgainstOracles:
         calls = []
 
         def traced(a, b, *, stride=1):
-            if min(a.bit_count(), b.bit_count()) > _COMB_CUTOFF:
+            if walked_window(a, b):
                 calls.append(max(a.bit_length(),
                                  spread(b, stride).bit_length()))
             return clmul(a, b, stride=stride)
