@@ -26,8 +26,9 @@ print("a^2        =", pow_int(a, 2))
 print("(a+b)^2    =", pow_int(add(a, b), 2))
 print("a^2 + b^2  =", add(pow_int(a, 2), pow_int(b, 2)))
 
-# Units (constant coefficient 1) invert by a Newton step that squares
-# the error each iteration; the geometric series appears for 1 + t.
+# Units (constant coefficient 1) form a group of exponent 2^s >= prec,
+# so 1/a is the integer power a^(2^s - 1); the geometric series appears
+# for 1 + t.
 print("1/a        =", inv(a))
 print("a * (1/a)  =", mul(a, inv(a)))
 
@@ -36,8 +37,8 @@ sq = pow_int(b, 2)
 print("b^2        =", sq)
 print("sqrt(b^2)  =", sqrt(sq))
 
-# Odd k-th roots exist uniquely for any unit, found by Hensel-style
-# Newton lifting with precision doubling.
+# Odd k-th roots exist uniquely for any unit: a^(1/k) is the integer
+# power a^e with e * k = 1 modulo that exponent 2^s.
 for k in (3, 5, 7):
     root = kth_root_odd(a, k)
     print(f"a^(1/{k})   =", root, "  check:", pow_int(root, k))

@@ -2,8 +2,9 @@
 
 The package realizes a multiplicative group on which every rational
 number acts: truncated power series over GF(2) support unique odd
-roots (Newton lifting) and unconditional square roots (exponent grid
-refinement), valuations split off as exact rationals, and a seeded
+roots (integer powers, as the units modulo t**P form a group whose
+exponent is a power of 2) and unconditional square roots (exponent
+grid refinement), valuations split off as exact rationals, and a seeded
 harness checks the vector-space laws that result.  A companion module
 answers the same linear-space question for the multiplicative groups
 of finite fields, with a brute-force oracle to confront the

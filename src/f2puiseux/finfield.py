@@ -171,21 +171,18 @@ def linear_space_verdict(pp: PrimePower) -> FqVerdict:
     return _NO
 
 
-def elementary_abelian_oracle(pp: PrimePower, *,
-                              bound: int | None = _DESK_LIMIT
-                              ) -> FqVerdict:
+def elementary_abelian_oracle(pp: PrimePower) -> FqVerdict:
     """Brute-force witness: check Z/(q-1) against (Z/p')**m directly.
 
     Finds the candidate prime p' dividing q - 1, requires q - 1 to be
     a power of it, and then verifies every element's order divides p'
     by multiplication in the cyclic group.  No shortcut through
-    "q - 1 is prime" is taken.  A q above bound (by default the
-    desk-scale limit that also bounds prime_power_scan) raises
-    OutOfRange before any work.
+    "q - 1 is prime" is taken.  A q above the desk-scale limit that
+    also bounds prime_power_scan raises OutOfRange before any work.
     """
     q = pp.q
-    if bound is not None and q > bound:
-        raise OutOfRange(f"q = {q} exceeds the oracle bound {bound}")
+    if q > _DESK_LIMIT:
+        raise OutOfRange(f"q = {q} exceeds the oracle bound {_DESK_LIMIT}")
     order = q - 1
     if order == 1:
         return _TRIVIAL

@@ -136,7 +136,7 @@ def unit_mul(u: PuiseuxUnit, v: PuiseuxUnit, *,
 
 def unit_inv(u: PuiseuxUnit) -> PuiseuxUnit:
     """Inverse at fixed grid and precision."""
-    return PuiseuxUnit(u.den, series.inv(u.body))
+    return _act(u, -1, 1, None)
 
 
 def unit_sqrt(u: PuiseuxUnit, *,

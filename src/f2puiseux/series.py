@@ -7,23 +7,22 @@ the minimum of the operands' precisions; comparisons across different
 precisions truncate both sides to the smaller one first.
 
 Every power a**(p/k) of a unit, odd k >= 1 and integer p, is one entry,
-_power.  It lifts y = a**(-1/k) by the inversion-free Newton step
-y <- a * y**(k+1).  If a*y**k = 1+e, the step makes it (1+e)**(k+1),
-and as k+1 is even and squaring is additive in characteristic 2, that
-is (1+e*e)**((k+1)/2): each step at least doubles the correct
-coefficients, and 2**w-folds them when 2**w divides k+1.  For odd p < k
-the result is a * y**(k-p): the inverse is (p, k) = (-1, 1), the k-th
-root p = 1.  A larger odd p splits off an even power, p = 2kn + c with
-odd c in (-k, k].  A 2**v-th power is a bit spread, exact from its base
-modulo t**ceil(prec / 2**v), so y and every odd power are taken only to
-that reduced precision.
+_power, and it is an integer power.  As squaring is additive in
+characteristic 2, (1 + f)**(2**s) = 1 + f**(2**s), so modulo t**prec
+the units form a group of exponent 2**s, 2**s the least power of 2 at
+or above prec: a Z/2**s-module, in which k is invertible.  So a**(p/k)
+is a**e with e = p * k**-1 mod 2**s; the inverse is (p, k) = (-1, 1),
+the k-th root p = 1.  A 2**v-th power is a bit spread, exact from its
+base modulo t**ceil(prec / 2**v), and an odd power a**(2n + 1) is a
+times a spread of a**n, so each step of the exponent's ladder at least
+halves the precision it recurses at, and the recursion is about
+log2(prec) deep whatever p and k are.
 
 Products with a spread operand stay on the coarse grid.  As t -> t**m
 is a ring endomorphism of GF(2)[t], a * spread(z, m) is one stride
-product clmul(a, z, stride=m) (see bitops).  That covers the Newton
-step's a * y**(k+1), the even power split off an odd one (a * a**(2n)
-is a * spread(a**(2n/m), m), so no square is formed), and a unit
-product across two grids.
+product clmul(a, z, stride=m) (see bitops).  That covers every odd
+power (a * a**(2n) is a * spread(a**(2n/m), m), so no square is formed)
+and a unit product across two grids.
 """
 
 from __future__ import annotations
@@ -127,30 +126,20 @@ def _mul_spread(a: int, z: int, m: int, prec: int) -> int:
 
 def _power(a: int, p: int, k: int, prec: int) -> int:
     # a**(p/k) modulo t**prec, odd k >= 1; a is a unit unless k = 1 <= p.
-    # A 2**v-th power spreads, odd p < k is one Newton call, and odd
-    # p = 2kn + c > k, c in (-k, k], is a**(c/k) times a**(2n), which
-    # multiplies in on its coarse grid
+    # For a unit, p/k is the integer p * k**-1 modulo the exponent 2**s
+    # of the units.  Its 2**v part spreads, and an odd 2n + 1 multiplies
+    # a by spread(a**(n/m), 2m), m the 2-power part of n, on the coarse grid
+    if k > 1 or p < 0:
+        mod = 1 << (prec - 1).bit_length()
+        p = p * pow(k, -1, mod) % mod
     if p == 0:
         return 1
+    if p == 1 or prec == 1:
+        return trunc_bits(a, prec)
     v = (p & -p).bit_length() - 1
     if v:
-        return spread(_power(a, p >> v, k, -(-prec >> v)), 1 << v)
-    if p < k:
-        return _inv_root(a, k, prec, k - p)
-    if p == k:
-        return trunc_bits(a, prec)
-    n = (p + k - 1) // (2 * k)
+        return spread(_power(a, p >> v, 1, -(-prec >> v)), 1 << v)
+    n = p >> 1
     m = n & -n
-    return _mul_spread(_power(a, p - 2 * k * n, k, prec),
+    return _mul_spread(trunc_bits(a, prec),
                        _power(a, n // m, 1, -(-prec // (2 * m))), 2 * m, prec)
-
-
-def _inv_root(a: int, k: int, prec: int, e: int) -> int:
-    # a * y**e for an even e > 0, y = a**(-1/k) lifted by y <- a * y**(k+1).
-    # With e = c * 2**v, c odd, y**e is the spread of y**c, so y is needed
-    # modulo t**ceil(prec / 2**v) only, and a multiplies it on that grid.
-    v = (e & -e).bit_length() - 1
-    h = -(-prec >> v)
-    y = _inv_root(a, k, h, k + 1) if h > 1 else 1
-    return _mul_spread(trunc_bits(a, prec), _power(y, e >> v, 1, h),
-                       1 << v, prec)

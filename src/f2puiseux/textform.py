@@ -68,21 +68,21 @@ def _too_long(m: re.Match, offset: int) -> ElementSyntaxError:
         offset + m.start(group))
 
 
-def parse_rational(text: str, position: int = 0) -> Rational:
+def parse_rational(text: str) -> Rational:
     """Parse "n" or "n/d" with positive d."""
     stripped = text.strip()
     m = _RATIONAL.match(stripped)
     if m is None:
         raise ElementSyntaxError(f"expected a rational number, got {text!r}",
-                                 position)
+                                 0)
     num, den = m.groups()
     try:
         den = 1 if den is None else int(den)
         num = int(num) if den else 0
     except ValueError:
-        raise _too_long(m, position + text.index(stripped)) from None
+        raise _too_long(m, text.index(stripped)) from None
     if den == 0:
-        raise ElementSyntaxError("zero denominator", position)
+        raise ElementSyntaxError("zero denominator", 0)
     return Fraction(num, den)
 
 

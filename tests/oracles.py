@@ -4,11 +4,13 @@ Everything here deliberately avoids the package's bit-packed kernel:
 series are coefficient lists, Puiseux terms are dicts keyed by exact
 fractions, and products are schoolbook convolutions.  The inverse
 fixes one coefficient at a time straight from the defining equation,
-and odd roots and powers come from 2-adic coordinates, with no Newton
-step anywhere.  The reference
-spread and compress move one coefficient at a time, where the package
-re-grids a whole body at once with shift-and-mask rounds.  The
-reference text codec parses, factors and formats with exact Fractions
+and odd roots and powers come from 2-adic coordinates, rebuilt with
+shifts and XORs.  Like the package, coordinate_power divides by k as
+k**-1 modulo a power of 2, so the schoolbook inverse and the tests'
+raise-back round trips are the checks that do not share that idea.
+The reference spread and compress move one coefficient at a time,
+where the package re-grids a whole body at once with shift-and-mask
+rounds.  The reference text codec parses, factors and formats with exact Fractions
 and a set of exponents, term by term, where the package works on
 integer grid indices.  The reference prime-power scan factors every
 integer by trial division and builds each row's verdicts afresh, where

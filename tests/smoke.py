@@ -6,7 +6,8 @@ Run it from the repository root on any supported interpreter:
 
 It replays the golden CLI transcripts of tests/cli_golden.json through
 `cli.main`, runs the four demos, checks powers a**(p/k) from
-`series._power` against the 2-adic coordinates of tests/oracles.py, and
+`series._power` against the 2-adic coordinates of tests/oracles.py
+(also for p at or above 2**s and k = 3**2000), and
 checks `bitops.clmul` against a plain shift-and-XOR product on both
 sides of each comb cutoff and of the window switch.
 It prints one line per part and exits 1 if any part fails.  pytest
@@ -63,13 +64,20 @@ def demos():
 
 
 def powers():
-    # k times the coordinates of a**(p/k) are p times those of a
+    # k times the coordinates of a**(p/k) are p times those of a; besides
+    # small p and k, exponents at or above the exponent 2**s of the units
+    # and the root index 3**2000, from precision 1 up
     rng = random.Random(12)
     cases, bad = 0, []
     for prec in (1, 2, 3, 63, 64, 65, 256, 257, 1025, 4097):
-        for _ in range(40):
+        mod = 1 << (prec - 1).bit_length()
+        pairs = [(rng.randrange(-20, 21), rng.randrange(1, 50, 2))
+                 for _ in range(40)]
+        pairs += [(rng.randrange(mod, 4 * mod), 1) for _ in range(4)]
+        pairs += [(3 ** 2000, 1), (-(3 ** 2000), 7), (1, 3 ** 2000),
+                  (-5, 3 ** 2000)]
+        for p, k in pairs:
             a = rng.getrandbits(prec) | 1
-            p, k = rng.randrange(-20, 21), rng.randrange(1, 50, 2)
             got = unit_coordinates(series._power(a, p, k, prec), prec)
             want = unit_coordinates(a, prec)
             cases += 1

@@ -57,8 +57,9 @@ def test_criterion_1_finite_field_equivalence_at_desk_scale(capsys):
 
 
 def test_criterion_2_odd_root_round_trips_and_uniqueness():
-    """Odd k-th roots at prec 256: bit-exact round trips, and Newton agrees
-    with the root rebuilt from 2-adic coordinates."""
+    """Odd k-th roots at prec 256: bit-exact round trips, and the root
+    as an integer power agrees with the root rebuilt from 2-adic
+    coordinates."""
     rng = random.Random(20240)
     odd_ks = range(1, 50, 2)
     trips = 0
@@ -78,11 +79,12 @@ def test_criterion_2_odd_root_round_trips_and_uniqueness():
     for _ in range(100):
         a = F2Series(rng.getrandbits(256) | 1, 256)
         k = rng.choice(range(3, 50, 2))
-        newton = kth_root_odd(a, k)
-        assert newton.coeffs == coordinate_power(a.coeffs, 1, k, 256)
+        root = kth_root_odd(a, k)
+        assert root.coeffs == coordinate_power(a.coeffs, 1, k, 256)
         agreements += 1
     print(f"\nACCEPTANCE 2 PASS: {trips} bit-exact round trips at prec 256, "
-          f"Newton == coordinate root on {agreements} instances")
+          f"integer-power root == coordinate root on {agreements} "
+          f"instances")
 
 
 def test_criterion_3_square_root_inverts_squaring():

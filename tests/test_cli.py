@@ -76,6 +76,19 @@ class TestElementCommands:
         }]
         assert list(records[0]) == ["op", "input", "output"]
 
+    @pytest.mark.parametrize("argv", [
+        ["root", "1 + x^(1) + O(x^(300))", str(3 ** 2000)],
+        ["pow", "1 + x^(1) + O(x^(3))", str(3 ** 2000)],
+        ["pow", "1 + x^(1) + O(x^(3))", str(3 ** 2000), "--format",
+         "records"],
+        ["scalar-mul", f"{3 ** 2000}/7", "1 + x^(1) + O(x^(3))"],
+    ], ids=["root", "pow", "pow-records", "scalar-mul"])
+    def test_huge_index_or_exponent_prints_one_line(self, capsys, argv):
+        # a unit power depends on p/k modulo a power of 2 near the
+        # precision only, so a 3**2000-th power or root is a small one
+        code, out, err = run(capsys, *argv)
+        assert (code, err, len(out.splitlines())) == (0, "", 1)
+
 
 class TestErrorHandling:
     def test_syntax_error_one_line_no_partial_output(self, capsys):

@@ -117,7 +117,7 @@ class TestOracle:
 
     def test_bound_enforced(self):
         with pytest.raises(OutOfRange):
-            elementary_abelian_oracle(PrimePower(2, 17), bound=1 << 16)
+            elementary_abelian_oracle(PrimePower(2, 23))
 
     def test_agrees_with_closed_form_at_small_scale(self):
         for pp, verdict, oracle in prime_power_scan(4096):

@@ -289,9 +289,9 @@ class TestScalarAction:
         assert format_unit(out) == "1 + x^(1/2) + O(x^(1))"
 
     def test_matches_power_then_root_composition(self):
-        # precisions on the Newton ladder boundaries; a seeded subset of
-        # p in -20..20 and q in 1..49, the per-coefficient reference
-        # being slow
+        # precisions where the modulus 2**s of p/q changes; a seeded
+        # subset of p in -20..20 and q in 1..49, the per-coefficient
+        # reference being slow
         rng = random.Random(47)
         precs = sorted({(1 << j) + d for j in range(9) for d in (-1, 0, 1)}
                        - {0})
@@ -317,16 +317,20 @@ class TestUnitPow:
     def test_negative_even_power_inverts_at_reduced_precision(
             self, e, monkeypatch):
         # u**(-c * 2**v) needs u**(-c) modulo x**ceil(prec / 2**v) only,
-        # so the Newton ladder starts there
-        honest, precs = series._inv_root, []
+        # so its odd part is raised there and spread by 2**v
+        honest, calls = series._power, []
 
-        def recorded(a, k, prec, *rest):
-            precs.append(prec)
-            return honest(a, k, prec, *rest)
-        monkeypatch.setattr(series, "_inv_root", recorded)
+        def recorded(a, p, k, prec):
+            calls.append((p, k, prec))
+            return honest(a, p, k, prec)
+        monkeypatch.setattr(series, "_power", recorded)
         u = random_unit(random.Random(-e), 3, 4097)
         got = unit_pow(u, e)
-        assert precs[0] == ceil(4097 / -e)
+        assert calls[0] == (e, 1, 4097)
+        odd, k, prec = calls[1]
+        assert (odd % 2, k, prec) == (1, 1, ceil(4097 / -e))
+        # 2**13 is the exponent of the units modulo x**4097
+        assert odd * -e % (1 << 13) == e % (1 << 13)
         assert unit_mul(got, unit_pow(u, -e)).is_identity()
 
 

@@ -559,22 +559,23 @@ class TestKthRoot:
             prec = rng.randrange(1, 120)
             a = S(rng.getrandbits(prec) | 1, prec)
             k = rng.choice(range(3, 50, 2))
-            newton = kth_root_odd(a, k)
+            root = kth_root_odd(a, k)
             # bit for bit
-            assert newton.coeffs == coordinate_power(a.coeffs, 1, k, prec)
+            assert root.coeffs == coordinate_power(a.coeffs, 1, k, prec)
 
 
-# each Newton rung divides the precision by a power of 2, rounding up,
-# so precisions next to a power of 2 give the most and least even rungs
+# the modulus 2**s of p/k is the least power of 2 at or above the
+# precision, so it changes between 2**j and 2**j + 1
 LADDER_PRECS = sorted({(1 << j) + d for j in range(11) for d in (-1, 0, 1)}
                       - {0})
 
 
 class TestNewtonAgainstOracles:
-    """inv is the k = 1 case of the inverse-root loop, kth_root_odd the
-    others; both must match the oracles (coefficient at a time for the
-    inverse, from 2-adic coordinates for the roots), and their results
-    at thousands of bits must multiply or power back."""
+    """inv and kth_root_odd are the integer powers a**(-1 mod 2**s) and
+    a**(k**-1 mod 2**s); both must match the oracles (coefficient at a
+    time for the inverse, from 2-adic coordinates for the roots), and
+    their results at thousands of bits must multiply or power back.
+    The class keeps the name of the Newton loop these powers replaced."""
 
     @pytest.fixture
     def comb_calls(self, monkeypatch):
@@ -732,9 +733,10 @@ class TestPow:
     @pytest.mark.parametrize("e", [0, 1, 2, 3, 4, 7, 8, 48, 255, 256])
     def test_no_squaring_past_the_top_bit(self, e, monkeypatch):
         # with e = c * 2**v, c odd, a**c = a * spread(a**(c >> j), 2**j)
-        # for the next set bit j of c, recursing on c >> j; a**e then
-        # spreads once by 2**v.  So the strides are the gaps between the
-        # set bits of c, innermost first, none of them 1 (no square)
+        # for the next set bit j of c, recursing on c >> j modulo
+        # t**ceil(prec / 2**j); a**e then spreads once by 2**v.  So the
+        # strides are the gaps between the set bits of c, none of them 1
+        # (no square), innermost first, down to where the precision is 1
         calls = []
 
         def counted_spread(x, m):
@@ -749,9 +751,13 @@ class TestPow:
         got = series._power(0b1011, e, 1, 64)
         c = e // (e & -e) if e else 0
         bits = [j for j in range(c.bit_length()) if c >> j & 1]
-        assert calls == ([("mul", 1 << (hi - lo))
-                          for lo, hi in zip(bits, bits[1:])][::-1]
-                         + [("spread", e & -e)] * (e & -e > 1))
+        strides, prec = [], -(-64 // (e & -e or 1))
+        for lo, hi in zip(bits, bits[1:]):
+            if prec == 1:
+                break
+            strides.append(("mul", 1 << (hi - lo)))
+            prec = -(-prec >> (hi - lo))
+        assert calls == strides[::-1] + [("spread", e & -e)] * (e & -e > 1)
         want = 1
         for _ in range(e):
             want = clmul(want, 0b1011) & ((1 << 64) - 1)
@@ -772,3 +778,32 @@ class TestPow:
         assert series._power(b, e, 1, prec) == expected.coeffs
         assert len(products) == e.bit_count() - 1
         assert all(1 not in pair for pair in products)
+
+
+class TestHugeExponents:
+    """Units modulo t**prec have exponent 2**s, the least power of 2 at
+    or above prec, so only p/k modulo 2**s matters, and no exponent or
+    root index makes the power recurse more than about log2(prec) deep."""
+
+    def test_nonunit_power_is_zero(self):
+        assert pow_int(S(0b110, 3), 3 ** 2000) == S(0, 3)
+
+    @pytest.mark.parametrize("prec", [1, 2, 3, 64, 65, 300, 4097])
+    def test_root_of_huge_index_matches_coordinates(self, prec):
+        bits = random.Random(prec).getrandbits(prec) | 1
+        got = kth_root_odd(S(bits, prec), 3 ** 2000)
+        assert got.coeffs == coordinate_power(bits, 1, 3 ** 2000, prec)
+
+    @pytest.mark.parametrize("prec", [1, 2, 3, 4, 5, 63, 64, 65, 1025])
+    def test_exponents_agreeing_modulo_2s_agree(self, prec):
+        mod = 1 << (prec - 1).bit_length()
+        rng = random.Random(prec)
+        a = S(rng.getrandbits(prec) | 1, prec)
+        assert pow_int(a, mod - 1) == inv(a)
+        for k in (3, 49, 3 ** 2000):
+            assert pow_int(a, pow(k, -1, mod)) == kth_root_odd(a, k)
+        for _ in range(10):
+            e = rng.randrange(4 * mod)
+            want = pow_int(a, e)
+            for c in (1, 5, 3 ** 2000):
+                assert pow_int(a, e + c * mod) == want, (e, c)
