@@ -12,24 +12,30 @@ operand, clmul switches to a comb (after Hankerson, Menezes and
 Vanstone, Guide to Elliptic Curve Cryptography, Alg. 2.36) whose
 window w is sized to the walked, sparser operand: a table of 2**w
 entries holds the products of the denser operand with every polynomial
-of degree below w, and the sparser operand is walked w bits at a time,
-one shift and one XOR per nonzero digit.  Below _WIDE_BITS bits w is 4:
-a 16-entry table is repaid from _NARROW_CUTOFF + 1 set bits, and the
-digits are read at C speed from the operand's hex string, translated to
-the byte values 0-15 and reversed so that the lowest digit comes first.
-From _WIDE_BITS bits w is 8, from _COMB_CUTOFF + 1 set bits, and the
-digits are the bytes of to_bytes: there the shorter walk outweighs the
-256-entry table.  That is about n/w shift-XORs for an n-bit operand,
-each on ints of up to 2n bits, so the comb is quadratic in word
-operations, with a small constant.  The size sweep of a traced `dense`
-benchmark run (perfbench/run.py --trace 1) fits a log-log scaling
-exponent of 1.51-1.56 over 2**10..2**16 bits, where the guard-field
-embedding that the comb replaced fit 1.57-1.62.  The fit stays below 2
-because the table's fixed cost weighs most at the small end of the
-sweep; it is not a sub-quadratic bound.  With stride=m, clmul returns
-a * spread(b, m) by shifting m times as far when it walks b, so its
-table holds a * spread(v, m) and no spread is formed, unless a is the
-sparser operand: then a is walked against spread(b, m).
+of degree below w, and the sparser operand is walked w bits at a time
+from its highest digit down by Horner's rule, acc = (acc << w) ^
+table[digit]: one shift and one XOR per digit, and no digit is
+reversed, indexed or tested for zero.  Below _WIDE_BITS bits w is 4:
+the 16-entry table is one list display over the denser operand a
+shifted by 0-3 places and the XORs of those, 11 XORs in all, and the
+digits are read at C speed from the operand's hex string, translated
+to the byte values 0-15.  The comb's cost grows with the walked length and
+shift-and-XOR's with the set bits, so the cutoff does too: the 4-bit
+comb is taken from more than (n + 60) / 10 set bits in an n-bit
+operand.  From _WIDE_BITS bits w is 8, from _COMB_CUTOFF + 1 set bits,
+and the digits are the bytes of to_bytes: there the shorter walk
+outweighs the 256-entry table.  That is about n/w shift-XORs for an
+n-bit operand, each on ints of up to 2n bits, so the comb is quadratic
+in word operations, with a small constant.  The size sweep of a traced
+`dense` benchmark run (perfbench/run.py --trace 1) fits a log-log
+scaling exponent of 1.51-1.56 over 2**10..2**16 bits, where the
+guard-field embedding that the comb replaced fit 1.57-1.62.  The fit
+stays below 2 because the table's fixed cost weighs most at the small
+end of the sweep; it is not a sub-quadratic bound.  With stride=m,
+clmul returns a * spread(b, m) by shifting m times as far when it
+walks b, so its table holds a * spread(v, m) and no spread is formed,
+unless a is the sparser operand: then a is walked against
+spread(b, m).
 
 Spreading and compressing carry all re-gridding: a body moves to an
 m-times finer grid by spread and back by compress.  Both run the
@@ -60,18 +66,19 @@ from __future__ import annotations
 import itertools
 from math import gcd
 
-# set bits of the walked (sparser) operand above which clmul's comb
-# repays its table, chosen by the operand's bit length: below _WIDE_BITS
-# the 16-entry table of 4-bit windows, from _WIDE_BITS the 256-entry
-# table of 8-bit windows.  Timed inside clmul (2-vCPU VM, Python 3.11),
-# the 4-bit comb took 0.4-0.9 times as long as the 8-bit one on dense
-# operands of 128-640 bits and lost from about 900 bits; against
-# shifting and XORing per set bit it broke even at 24-28 set bits on
-# the 64-128-bit operands that most products walk (40-60 on 256-1000
-# bits), and the 8-bit comb at 90-110 on 1024-4096 bits.  Set bits, not
-# bits, are counted: re-gridded operands are long but sparse, so bit
-# length alone would misjudge them
-_NARROW_CUTOFF = 28
+# when clmul's comb repays its table, judged on the walked (sparser)
+# operand: below _WIDE_BITS bits the 16-entry table of 4-bit windows
+# from more than (n + 60) / 10 set bits in n bits, from _WIDE_BITS bits
+# the 256-entry table of 8-bit windows from _COMB_CUTOFF + 1 set bits.
+# Timed inside clmul (2-vCPU VM, Python 3.11, median of 11 interleaved
+# rounds over 150 random products), the 4-bit comb beat shifting and
+# XORing per set bit from 12 / 16 / 32 / 56 / 76 / 104 set bits on
+# 64 / 128 / 256 / 512 / 768 / 1000-bit operands times a dense one of
+# the same length; the 8-bit comb broke even with it at 90-110 on
+# 1024-4096 bits, and the 4-bit comb took 0.4-0.9 times as long as the
+# 8-bit one on dense operands of 128-640 bits and lost from about 900
+# bits.  Set bits, not bits, are counted: re-gridded operands are long
+# but sparse, so bit length alone would misjudge them
 _COMB_CUTOFF = 96
 _WIDE_BITS = 1024
 _HEX_DIGITS = bytes.maketrans(b"0123456789abcdef", bytes(range(16)))
@@ -102,25 +109,35 @@ def clmul(a: int, b: int, *, stride: int = 1) -> int:
             b ^= low
         return acc
     # table[v] is a times the spread of the polynomial whose bits are v's
-    table = [0]
-    for i in range(w):
-        shifted = a << stride * i
-        table += [t ^ shifted for t in table]
-    if w == 8:
-        digits = b.to_bytes((b.bit_length() + 7) // 8, "little")
+    if w == 4:
+        a2 = a << stride
+        a3 = a ^ a2
+        a4 = a << 2 * stride
+        a8 = a << 3 * stride
+        a12 = a4 ^ a8
+        table = [0, a, a2, a3,
+                 a4, a4 ^ a, a4 ^ a2, a4 ^ a3,
+                 a8, a8 ^ a, a8 ^ a2, a8 ^ a3,
+                 a12, a12 ^ a, a12 ^ a2, a12 ^ a3]
+        digits = format(b, "x").encode().translate(_HEX_DIGITS)
     else:
-        digits = format(b, "x").encode().translate(_HEX_DIGITS)[::-1]
+        table = [0]
+        for i in range(8):
+            shifted = a << stride * i
+            table += [t ^ shifted for t in table]
+        digits = b.to_bytes((b.bit_length() + 7) // 8, "big")
+    # Horner from the highest digit: one shift and one XOR per digit
     step = w * stride
-    for i, digit in enumerate(digits):
-        if digit:
-            acc ^= table[digit] << step * i
+    for digit in digits:
+        acc = (acc << step) ^ table[digit]
     return acc
 
 
 def _comb_window(b: int) -> int:
     """Bits per comb digit when clmul walks b, or 0 for shift-and-XOR."""
-    if b.bit_length() < _WIDE_BITS:
-        return 4 if b.bit_count() > _NARROW_CUTOFF else 0
+    n = b.bit_length()
+    if n < _WIDE_BITS:
+        return 4 if 10 * b.bit_count() > n + 60 else 0
     return 8 if b.bit_count() > _COMB_CUTOFF else 0
 
 

@@ -14,6 +14,12 @@ multiplies units, so the element group splits as the direct product of
 the rationals and the unit group; decompose/compose move between the
 raw-series view and that product view.
 
+Every unit is stored normalized, on the coarsest grid its body,
+precision and den allow, and the constructor checks that with
+support_gcd.  The scalar action skips the check for an odd power: if
+u**p, p odd, lived on a coarser grid, its unique p-th root u would live
+there too, so a normalized u has normalized odd powers.
+
 Grid denominators are bounded by a per-call cap (default 2**16) so
 that runaway exponent towers fail loudly instead of exhausting memory.
 Values are immutable and every operation is a pure function.
@@ -152,12 +158,29 @@ def unit_sqrt(u: PuiseuxUnit, *,
 
 def _act(u: PuiseuxUnit, p: int, q: int, den_cap: int | None) -> PuiseuxUnit:
     # u**(p/q): one series._power for the odd part of q, then a square
-    # root per factor of 2, each checked against the cap as it is taken
+    # root per factor of 2, each checked against the cap as it is taken.
+    # With 2**t the largest power of 2 dividing p, den and prec, the body
+    # of u**p is the spread by 2**t of the body of u**(p / 2**t) below
+    # the index prec / 2**t, so that body is read on the grid den / 2**t
+    # and never spread.  An odd power (t = 0) of a normalized unit is
+    # normalized (see the module docstring), so it skips the check
+    den, prec = u.den, u.body.prec
     s = (q & -q).bit_length() - 1
-    body = series._power(u.body.coeffs, p, q >> s, u.body.prec)
-    r = PuiseuxUnit(u.den, F2Series(body, u.body.prec))
+    t = ((p | den | prec) & -(p | den | prec)).bit_length() - 1
+    prec >>= t
+    body = F2Series(series._power(u.body.coeffs, p >> t, q >> s, prec), prec)
+    r = _normalized(den, body) if p & 1 else PuiseuxUnit(den >> t, body)
     for _ in range(s):
         r = unit_sqrt(r, den_cap=den_cap)
+    return r
+
+
+def _normalized(den: int, body: F2Series) -> PuiseuxUnit:
+    """The unit (den, body), already normalized, built without the
+    constructor's support_gcd."""
+    r = object.__new__(PuiseuxUnit)
+    object.__setattr__(r, "den", den)
+    object.__setattr__(r, "body", body)
     return r
 
 

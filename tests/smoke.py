@@ -7,9 +7,10 @@ Run it from the repository root on any supported interpreter:
 It replays the golden CLI transcripts of tests/cli_golden.json through
 `cli.main`, runs the four demos, checks powers a**(p/k) from
 `series._power` against the 2-adic coordinates of tests/oracles.py
-(also for p at or above 2**s and k = 3**2000), and
+(also for p at or above 2**s and k = 3**2000),
 checks `bitops.clmul` against a plain shift-and-XOR product on both
-sides of each comb cutoff and of the window switch.
+sides of each comb cutoff and of the window switch, and checks one
+4-bit comb product at stride 3 against schoolbook convolution.
 It prints one line per part and exits 1 if any part fails.  pytest
 does not collect this file; the Tier-1 suite covers the same ground
 where pytest is installed.
@@ -28,7 +29,8 @@ from unittest import mock
 from f2puiseux import bitops, series
 from f2puiseux.cli import main
 
-from oracles import coordinates_match, unit_coordinates
+from oracles import (bits_to_coeffs, coeffs_to_bits, convolve_mod2,
+                     coordinates_match, reference_spread, unit_coordinates)
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -97,17 +99,24 @@ def shift_xor(a, b, m):
     return out
 
 
+def comb_switch(length):
+    """The fewest set bits from which clmul walks a length-bit operand
+    with a comb."""
+    return next(n for n in range(1, length + 1) if bitops._comb_window(
+        (1 << (n - 1)) - 1 | 1 << (length - 1)))
+
+
 def kernel():
     # walked operands just below, at and above the window switch, with
     # set bits at each comb cutoff and one either side; b is walked at
     # the stride, and in the swap a sparser a against spread(b, m)
     rng = random.Random(14)
     wide = bitops._WIDE_BITS
-    weights = [c + d for c in (bitops._NARROW_CUTOFF, bitops._COMB_CUTOFF)
-               for d in (-1, 0, 1)]
     cases, bad = 0, []
     for length in (200, 512, wide - 1, wide, wide + 1, 4 * wide):
-        for weight in weights:
+        for weight in (c + d for c in (comb_switch(length) - 1,
+                                       bitops._COMB_CUTOFF)
+                       for d in (-1, 0, 1)):
             walked = sum(1 << j for j in rng.sample(range(1, length - 1),
                                                     weight - 2))
             walked |= 1 | 1 << (length - 1)
@@ -123,11 +132,26 @@ def kernel():
     return cases, bad
 
 
+def comb_stride3():
+    # a walked operand that takes the 4-bit comb, every hex digit in it,
+    # times a denser one at stride 3, against convolution
+    a = random.Random(16).getrandbits(300) | 1
+    b = int("fedcba9876543210" * 2, 16)
+    want = coeffs_to_bits(convolve_mod2(
+        bits_to_coeffs(a, a.bit_length()),
+        bits_to_coeffs(reference_spread(b, 3), 3 * b.bit_length())))
+    ok = (bitops._comb_window(b) == 4
+          and bitops.clmul(a, b, stride=3) == want)
+    return 1, [] if ok else [(a.bit_length(), b.bit_length(), 3)]
+
+
 if __name__ == "__main__":
     failed = False
     for name, part in (("golden transcripts", golden), ("demos", demos),
                        ("powers against coordinates", powers),
-                       ("clmul against shift-and-XOR", kernel)):
+                       ("clmul against shift-and-XOR", kernel),
+                       ("4-bit comb at stride 3 against convolution",
+                        comb_stride3)):
         total, bad = part()
         failed |= bool(bad)
         print(f"{name}: {total - len(bad)} of {total} pass"

@@ -86,6 +86,30 @@ class TestBijectivity:
         assert report.passed
 
 
+    def test_one_product_of_the_drawn_pair_per_sample(self, monkeypatch):
+        # u * v does not depend on k, so it is built once per sample; the
+        # other products are u**k * v**k, one per k
+        honest_mul, honest_draw = px.unit_mul, axioms.random_unit
+        calls, drawn = [], []
+
+        def counted(u, v, *, den_cap=px.DEFAULT_DEN_CAP):
+            calls.append((u, v))
+            return honest_mul(u, v, den_cap=den_cap)
+
+        def recorded(rng, aprec):
+            drawn.append(honest_draw(rng, aprec))
+            return drawn[-1]
+        monkeypatch.setattr(px, "unit_mul", counted)
+        monkeypatch.setattr(axioms, "random_unit", recorded)
+        samples, k_max = 5, 6
+        report = check_root_bijectivity(samples, k_max, 64, seed=3)
+        assert report.passed and report.skipped == 0
+        assert len(drawn) == 2 * samples
+        for u, v in zip(drawn[::2], drawn[1::2]):
+            assert sum(a is u and b is v for a, b in calls) == 1
+        assert len(calls) == samples * (k_max + 1)
+
+
 class TestFaultInjection:
     """A single broken operation must surface as a counterexample."""
 

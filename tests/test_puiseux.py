@@ -1,7 +1,7 @@
 import random
 import tracemalloc
 from fractions import Fraction as Q
-from math import ceil, lcm
+from math import ceil, gcd, lcm
 
 import pytest
 
@@ -11,8 +11,11 @@ from f2puiseux import (DenominatorOverflow, F2Series, Indistinguishable,
                        element_root, element_scalar_mul, elements_agree,
                        format_unit, scalar_mul_unit, series, unit_inv,
                        unit_mul, unit_pow, unit_root, unit_sqrt, units_agree)
+from f2puiseux.bitops import spread, support_gcd
+from f2puiseux.puiseux import _act
 
-from oracles import (coordinates_match, reference_scalar_mul_unit,
+from oracles import (coordinate_power, coordinates_match,
+                     reference_scalar_mul_unit,
                      reference_spread, term_product, unit_coordinates,
                      unit_terms)
 from test_series import comb_switch
@@ -332,6 +335,59 @@ class TestUnitPow:
         # 2**13 is the exponent of the units modulo x**4097
         assert odd * -e % (1 << 13) == e % (1 << 13)
         assert unit_mul(got, unit_pow(u, -e)).is_identity()
+
+
+ACT_DENS = (1, 2, 3, 4, 6, 8, 12, 16, 48)
+
+
+def act_inputs(seed, precs):
+    """Normalized units on every ACT_DENS grid at each precision, with
+    bodies drawn at strides 1, 2 and 4, so that some contract."""
+    rng = random.Random(seed)
+    for den in ACT_DENS:
+        for prec in precs:
+            for m in (1, 2, 4):
+                bits = spread(rng.getrandbits(-(-prec // m)) | 1, m)
+                yield U(den, bits, prec)
+
+
+def by_constructor(u, p, q):
+    """u**(p/q) from the 2-adic coordinates, normalized by the public
+    constructor on the grid den * 2**s, 2**s the 2-part of q."""
+    s = (q & -q).bit_length() - 1
+    bits = coordinate_power(u.body.coeffs, p, q >> s, u.body.prec)
+    return U(u.den << s, bits, u.body.prec)
+
+
+def stored(u):
+    return u.den, u.body.coeffs, u.body.prec
+
+
+class TestActPaths:
+    """_act builds an odd power without the constructor's check, and an
+    even power p on the grid den / 2**t, 2**t the largest power of 2
+    dividing p, den and prec."""
+
+    def test_odd_powers_and_roots_stay_normalized(self):
+        for u in act_inputs(53, (1, 2, 5, 8, 12, 24, 48, 96)):
+            for p, q in ((-1, 1), (3, 1), (-5, 1), (1, 3), (1, 5),
+                         (-3, 7), (7, 9), (-1, 15)):
+                r = _act(u, p, q, None)
+                assert support_gcd(r.body.coeffs,
+                                   gcd(r.den, r.body.prec)) == 1
+                assert stored(r) == stored(by_constructor(u, p, q)), (
+                    stored(u), p, q)
+
+    def test_even_powers_match_the_constructor(self):
+        # prec with 2-adic valuation 0-4; 2**S is the exponent of the
+        # units modulo t**prec, so u**(2**S) is 1
+        for u in act_inputs(59, (1, 5, 6, 12, 40, 48)):
+            big = 1 << (u.body.prec - 1).bit_length()
+            for p in (0, 2, -2, 6, -6, 8, -8, big, 3 * big):
+                for q in (1, 2, 3, 4, 12):
+                    got = _act(u, p, q, None)
+                    assert stored(got) == stored(by_constructor(u, p, q)), (
+                        stored(u), p, q)
 
 
 def coordinates_on(w, den, prec):

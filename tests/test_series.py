@@ -9,9 +9,8 @@ from f2puiseux import (EvenK, F2Series, NotAUnit, OddSupport, add, inv,
                        kth_root_odd, mul, pow_int, series, sqrt)
 from f2puiseux import bitops
 from f2puiseux.puiseux import DEFAULT_DEN_CAP
-from f2puiseux.bitops import (_COMB_CUTOFF, _NARROW_CUTOFF, _SPARSE_SCAN,
-                              _WIDE_BITS, bit_indices, clmul, compress,
-                              spread)
+from f2puiseux.bitops import (_COMB_CUTOFF, _SPARSE_SCAN, _WIDE_BITS,
+                              bit_indices, clmul, compress, spread)
 
 from oracles import (bits_to_coeffs, coeffs_to_bits, convolve_mod2,
                      coordinate_power, coordinates_match, reference_compress,
@@ -113,9 +112,10 @@ def walked_window(a, b):
 
 def comb_switch(length):
     """The fewest set bits from which clmul walks a length-bit operand
-    with a comb rather than shifting and XORing per set bit."""
-    return next(n for n in range(1, length + 1)
-                if bitops._comb_window((1 << (n - 1)) - 1 | 1 << (length - 1)))
+    with a comb rather than shifting and XORing per set bit, or
+    length + 1 if it never does."""
+    return next((n for n in range(1, length + 1) if bitops._comb_window(
+        (1 << (n - 1)) - 1 | 1 << (length - 1))), length + 1)
 
 
 @st.composite
@@ -124,9 +124,10 @@ def kernel_operand(draw):
     counts around both comb cutoffs."""
     length = draw(st.one_of(st.integers(1, 1100), st.integers(500, 530),
                             st.integers(_WIDE_BITS - 8, _WIDE_BITS + 8)))
+    switch = comb_switch(length)
     weight = draw(st.one_of(
         st.integers(1, length),
-        st.integers(_NARROW_CUTOFF - 4, _NARROW_CUTOFF + 4),
+        st.integers(max(1, switch - 5), switch + 3),
         st.integers(_COMB_CUTOFF - 4, _COMB_CUTOFF + 4)))
     rng = random.Random(draw(st.integers(0, 2 ** 32)))
     ones = rng.sample(range(length), min(weight, length))
@@ -152,9 +153,9 @@ class TestCarrylessKernel:
     def test_dense_operands_max_column_sums(self):
         # all-ones inputs fill every window and every table entry, of
         # the 16-entry table below _WIDE_BITS bits and the 256-entry one
-        # from there
+        # from there; n = 6 shifts and XORs, n = 7 takes the 4-bit comb
         rng = random.Random(7)
-        for n in (_NARROW_CUTOFF, _NARROW_CUTOFF + 1, _COMB_CUTOFF,
+        for n in (6, 7, 28, 29, _COMB_CUTOFF,
                   _COMB_CUTOFF + 1, 513, 520, _WIDE_BITS, 1031):
             a = (1 << n) - 1
             want = coeffs_to_bits(convolve_mod2([1] * n, [1] * n))
@@ -196,7 +197,8 @@ class TestCarrylessKernel:
         dense = sum(1 << j for j in rng.sample(range(300), 200))
         windows = set()
         for length in (_WIDE_BITS - 1, _WIDE_BITS, _WIDE_BITS + 1):
-            for weight in (c + d for c in (_NARROW_CUTOFF, _COMB_CUTOFF)
+            for weight in (c + d for c in (comb_switch(length) - 1,
+                                           _COMB_CUTOFF)
                            for d in (-1, 0, 1)):
                 walked = sum(1 << j for j in rng.sample(
                     range(1, length - 1), weight - 2)) | 1 | 1 << (length - 1)
@@ -231,6 +233,51 @@ class TestCarrylessKernel:
             a = sum(1 << j for j in rng.sample(range(20000), weight))
             b = rng.getrandbits(600) | 1
             assert clmul(a, b) == clmul_oracle(a, b)
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 5])
+    def test_four_bit_table_matches_convolution(self, m):
+        # every digit 0-15 at several places of a walked operand that
+        # takes the 4-bit comb, so each of the 16 table entries is read,
+        # with a denser operand a, and b at the stride m
+        rng = random.Random(m)
+        a = rng.getrandbits(300) | 1 << 299 | 1
+        for b in (int("fedcba9876543210" * 3, 16),
+                  int("0123456789abcdef" * 2 + "f", 16),
+                  int("".join(rng.choice("0123456789abcdef")
+                              for _ in range(40)), 16) | 1):
+            assert bitops._comb_window(b) == 4
+            assert clmul(a, b, stride=m) == clmul_oracle(
+                a, reference_spread(b, m))
+
+    @pytest.mark.parametrize("length", [64, 128, 256, 512, 768, 1023])
+    def test_four_bit_cutoff_by_length_matches_convolution(self, length):
+        # the cutoff rises with the walked length; one set bit below it
+        # shifts and XORs, at it and one above the 4-bit comb walks
+        rng = random.Random(length)
+        switch = comb_switch(length)
+        a = rng.getrandbits(2 * length) | 1 << (2 * length - 1) | 1
+        for weight, window in ((switch - 1, 0), (switch, 4),
+                               (switch + 1, 4)):
+            walked = sum(1 << j for j in rng.sample(
+                range(1, length - 1), weight - 2)) | 1 | 1 << (length - 1)
+            assert bitops._comb_window(walked) == window
+            for m in (1, 3):
+                assert clmul(a, walked, stride=m) == clmul_oracle(
+                    a, reference_spread(walked, m)), (weight, m)
+
+    @pytest.mark.parametrize("m", [1, 3])
+    def test_zero_digits_and_small_top_digit(self, m):
+        # Horner's walk starts at the top digit, whatever its value, and
+        # shifts past runs of zero digits
+        rng = random.Random(m)
+        a = rng.getrandbits(400) | 1 << 399 | 1
+        for top in range(1, 16):
+            for body in ("0f" * 12, "f00f" * 8 + "0" * 9 + "ff" * 6,
+                         "ff" * 10 + "0" * 20 + "1"):
+                b = int(format(top, "x") + body, 16)
+                assert bitops._comb_window(b) == 4, (top, body)
+                assert clmul(a, b, stride=m) == clmul_oracle(
+                    a, reference_spread(b, m)), (top, body)
 
     def test_many_zero_bytes(self):
         rng = random.Random(31)
