@@ -72,35 +72,14 @@ class AxiomReport:
         return self.failures == 0
 
 
-class _Tally:
-    """Per-law accumulator in declaration order; renders first failures."""
-
-    def __init__(self, names):
-        self.names = tuple(names)
-        self.checked = {n: 0 for n in self.names}
-        self.failures = {n: 0 for n in self.names}
-        self.first = {n: None for n in self.names}
-
-    def commit(self, index, outcomes):
-        for name, ok, inputs in outcomes:
-            self.checked[name] += 1
-            if not ok:
-                self.failures[name] += 1
-                if self.first[name] is None:
-                    self.first[name] = _witness(index, **inputs)
-
-    def checks(self):
-        return tuple(AxiomCheck(n, self.checked[n], self.failures[n],
-                                self.first[n]) for n in self.names)
-
-
 def _rng(seed: int, kind: str, index: int) -> random.Random:
     return random.Random(f"{seed}:{kind}:{index}")
 
 
 def _grid_choices(aprec: Fraction):
-    dens = [d for d in SAMPLE_DENS
-            if (aprec * d).denominator == 1 and aprec * d >= 1]
+    # aprec * d is a positive integer
+    dens = [d for d in SAMPLE_DENS if d % aprec.denominator == 0
+            and aprec.numerator * d >= aprec.denominator]
     if not dens:
         raise ValueError(f"no sample grid carries precision {aprec}")
     return dens
@@ -110,7 +89,7 @@ def random_unit(rng: random.Random, aprec) -> PuiseuxUnit:
     """Fair coin per coefficient slot on a random grid, residue forced to 1."""
     aprec = Fraction(aprec)
     den = rng.choice(_grid_choices(aprec))
-    prec = int(aprec * den)
+    prec = aprec.numerator * den // aprec.denominator
     coeffs = 1 if prec == 1 else (rng.getrandbits(prec - 1) << 1) | 1
     return PuiseuxUnit(den, F2Series(coeffs, prec))
 
@@ -148,7 +127,9 @@ def _run(kind: str, names, samples: int, seed: int, aprec: Fraction,
     yields (law name, holds, witness inputs) per check.  A sample whose
     checks hit the denominator cap is skipped as a whole.
     """
-    tally = _Tally(names)
+    # [checked, failures, first counterexample] per law, in declaration
+    # order
+    tally = {name: [0, 0, None] for name in names}
     skipped = 0
     for i in range(samples):
         drawn = draw(_rng(seed, kind, i))
@@ -157,9 +138,15 @@ def _run(kind: str, names, samples: int, seed: int, aprec: Fraction,
         except DenominatorOverflow:
             skipped += 1
             continue
-        tally.commit(i, outcomes)
+        for name, ok, inputs in outcomes:
+            law = tally[name]
+            law[0] += 1
+            if not ok:
+                law[1] += 1
+                if law[2] is None:
+                    law[2] = _witness(i, **inputs)
     return AxiomReport(kind, seed, samples, aprec, params, skipped,
-                       tally.checks())
+                       tuple(AxiomCheck(n, *law) for n, law in tally.items()))
 
 
 _VS_LAWS = (
@@ -219,10 +206,6 @@ def check_vector_space_axioms(samples: int, aprec, seed: int,
                 (("scalar_bound", scalar_bound),), draw, laws)
 
 
-def _largest_power_of_two_at_most(n: int) -> int:
-    return 1 << (n.bit_length() - 1)
-
-
 def check_torsion_free(samples: int, n_max: int, aprec, seed: int, *,
                        den_cap: int | None = DEFAULT_DEN_CAP) -> AxiomReport:
     """Confirm that no sampled nonidentity unit has a power equal to 1.
@@ -238,7 +221,7 @@ def check_torsion_free(samples: int, n_max: int, aprec, seed: int, *,
     if n_max < 2:
         raise ValueError("n_max must be >= 2")
     aprec = Fraction(aprec)
-    worst = _largest_power_of_two_at_most(n_max)
+    worst = 1 << (n_max.bit_length() - 1)  # the largest power of 2 <= n_max
     if Fraction(1, max(_grid_choices(aprec))) * worst >= aprec:
         raise ValueError(
             f"aprec {aprec} cannot certify nontriviality of powers up "

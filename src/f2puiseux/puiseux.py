@@ -279,10 +279,13 @@ def _factor(indices: list[int], big: int, prec: int,
     # The integer core of decompose_raw and the parser.  The indices
     # ascend strictly on the grid 1/big, below the precision index
     # prec; the lowest is the valuation.  The minimal grid of the unit
-    # divides big by the gcd of big, the indices relative to the
-    # valuation and the relative precision.  The den cap is checked
-    # before the bitmap is built; the bitmap is written as a base-2
-    # numeral, one byte per grid step, so one C-level pass sets its bits.
+    # divides big by the gcd g of big, the indices relative to the
+    # valuation and the relative precision.  The unit is built without
+    # the constructor's stride test: a d > 1 dividing its den, precision
+    # and every index would make d * g divide what g is the gcd of.  The
+    # den cap is checked before the bitmap is built; the bitmap is written
+    # as a base-2 numeral, one byte per grid step, so one C-level pass
+    # sets its bits.
     if not indices:
         raise Indistinguishable(
             "all coefficients within precision are zero")
@@ -294,7 +297,7 @@ def _factor(indices: list[int], big: int, prec: int,
     deque(map(digits.__setitem__,
               map(floordiv, map(sub, repeat(high), indices), repeat(g)),
               repeat(ord("1"))), 0)
-    unit = PuiseuxUnit(den, F2Series(int(digits, 2), (prec - low) // g))
+    unit = _normalized(den, F2Series(int(digits, 2), (prec - low) // g))
     return L0Element(Fraction(low, big), unit)
 
 

@@ -15,18 +15,19 @@ formatting is idempotent and formatting followed by parsing is the
 identity.
 
 The codec works on integer grid indices, in time linear in the number
-of terms.  Parsing reads well-formed text in a few whole-text passes at
-C speed: one regex split checks every term and cuts out its numerals,
-int() converts the numerators, and each denominator numeral is
-converted once.  An exponent n/d becomes the index n * (big // d) on
-the grid 1/big, big the lcm of all denominators, so an unreduced
-fraction lands where its reduced form does; one pass checks that the
-indices increase and one comparison bounds them by the precision.  Text
-that fails any of this is read again one term at a time, and that
-reader raises the positioned error of the first bad term.  The indices
-are factored by the core that puiseux.decompose_raw uses.  Formatting
-renders bit j of a unit body on the grid 1/den as j/den, reduced by one
-gcd.  Fractions are built only for the valuation and for error texts.
+of terms.  One reader parses: after the precision marker and the
+valuation factor, one regex split checks every body term and cuts out
+its numerals, int() converts the numerators, and each denominator
+numeral is converted once.  An exponent n/d becomes the index
+n * (big // d) on the grid 1/big, big the lcm of all denominators, so
+an unreduced fraction lands where its reduced form does; one pass
+checks that the indices increase and one comparison bounds them by the
+precision.  A body that fails any of this is walked one term at a time,
+and the first bad term raises its positioned error; an empty term
+outranks every other error.  The indices are factored by the core that
+puiseux.decompose_raw uses.  Formatting renders bit j of a unit body on
+the grid 1/den as j/den, reduced by one gcd.  Fractions are built only
+for the valuation and for error texts.
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ from operator import lt, mul
 
 from .bitops import bit_indices
 from .errors import (ElementSyntaxError, ExponentNotIncreasing,
-                     NonpositivePrecision, NonUnitLeadingTerm)
+                     NonpositivePrecision, NonUnitLeadingTerm, ParseError)
 from .puiseux import (DEFAULT_DEN_CAP, L0Element, PuiseuxUnit, Rational,
                       _factor, compose)
 
@@ -49,10 +50,13 @@ from .puiseux import (DEFAULT_DEN_CAP, L0Element, PuiseuxUnit, Rational,
 _EXPONENT = r"x\^(\()?(-?\d+)(?(1)(?:/(\d+))?\))"
 _X_TERM = re.compile(rf"{_EXPONENT}\Z")
 _RATIONAL = re.compile(r"(-?\d+)(?:/(\d+))?\Z")
-# the bulk reader splits at every term with the "+" after it, which
-# leaves the O(.) term, read by _TAIL in both readers
+# the reader splits the body at every term with the "+" after it; the
+# O(.) term after the last "+" is read by _TAIL
 _BODY_TERM = re.compile(rf"(?:1|{_EXPONENT})\s*\+\s*")
 _TAIL = re.compile(rf"O\({_EXPONENT}\)\s*")
+# a blank term after a "+", searched for in "+" + text so that the first
+# term follows one too
+_EMPTY_TERM = re.compile(r"\+\s*(?=\+|\Z)")
 
 
 def _too_long(m: re.Match, offset: int) -> ElementSyntaxError:
@@ -99,98 +103,26 @@ def _exponent(m: re.Match, position: int) -> tuple[int, int]:
     return num, den
 
 
-def _read_bulk(s: str):
-    """(valuation or None, big, grid indices on 1/big, precision index)
-    of well-formed text, or None for anything else.
-
-    Whole-text passes: one regex split checks every term and cuts out
-    its numerals, int() converts the numerators, and the denominators
-    are converted once per distinct numeral.  An unreduced n/d lands on
-    the same index as its reduced form, so no term needs a gcd.
-    """
-    head, star, body = s.partition("*")
-    if not star:
-        body = head
-    # per term: the text before it (empty when the terms are adjacent),
-    # then its three groups; the O(.) term is the text after the last
-    parts = _BODY_TERM.split(body.lstrip())
-    tail = _TAIL.fullmatch(parts[-1])
-    if tail is None or len(parts) == 1 or any(parts[:-1:4]):
-        return None
-    nums = parts[2::4]
-    dens = parts[3::4]
-    del parts  # four entries per term: free them before converting
-    val = None
-    try:
-        if star:
-            mh = _X_TERM.match(head.strip())
-            if mh is None or nums[0] is not None:  # the unit starts with 1
-                return None
-            val = Fraction(*_exponent(mh, 0))
-        pn, pd = _exponent(tail, 0)
-        if None in nums:  # the term 1, read as x^0
-            nums[nums.index(None)] = "0"
-        den_of = {d: 1 if d is None else int(d) for d in set(dens)}
-        big = lcm(pd, *den_of.values())
-        scale = {d: big // n for d, n in den_of.items()}
-        indices = list(map(mul, map(int, nums), map(scale.__getitem__, dens)))
-    except (ValueError, TypeError, ZeroDivisionError):
-        # an over-long numeral, a second 1 or a zero denominator: errors
-        # the per-term reader reports
-        return None
-    prec = pn * (big // pd)
-    if indices[-1] >= prec or not all(map(lt, indices,
-                                          islice(indices, 1, None))):
-        return None
-    return val, big, indices, prec
+def _grid(nums, dens, pn: int, pd: int):
+    """big, the lcm of pd and the denominators, the indices on 1/big of
+    the exponents nums[i]/dens[i] (ints or numerals, a denominator None
+    for 1, each distinct one converted once) and the index of pn/pd."""
+    den_of = {d: 1 if d is None else int(d) for d in set(dens)}
+    big = lcm(pd, *den_of.values())
+    scale = {d: big // n for d, n in den_of.items()}
+    return (big, list(map(mul, map(int, nums), map(scale.__getitem__, dens))),
+            pn * (big // pd))
 
 
-def _read_terms(s: str):
-    """What _read_bulk returns, read one term at a time; raises the
-    positioned error of the first term that breaks the grammar."""
-    # "+" never occurs inside exponent parentheses, so a flat split is exact
-    parts = []
-    off = 0
-    for chunk in s.split("+"):
-        stripped = chunk.strip()
-        if not stripped:
-            raise ElementSyntaxError("empty term", off)
-        parts.append((off + chunk.index(stripped[0]), stripped))
+def _walk(body: str, factored: bool, pn: int, pd: int):
+    """Numerators and denominators of the "+"-separated terms of body,
+    read one at a time below the precision pn/pd; the first bad term
+    raises.  A factored body starts with the 1 read with the factor."""
+    nums, dens, off = [], [], 0
+    for chunk in body.split("+"):
+        pos = off + len(chunk) - len(chunk.lstrip())
         off += len(chunk) + 1
-
-    if len(parts) < 2:
-        raise ElementSyntaxError(
-            "element needs at least one term and a trailing O(x^(P))",
-            parts[-1][0] if parts else 0)
-
-    o_pos, o_text = parts[-1]
-    m = _TAIL.fullmatch(o_text)
-    if m is None:
-        raise ElementSyntaxError(
-            f"expected precision marker O(x^(P)), got {o_text!r}", o_pos)
-    pn, pd = _exponent(m, o_pos)
-
-    val = None
-    body = parts[:-1]
-    first_pos, first_text = body[0]
-    if "*" in first_text:
-        head, _, lead = first_text.partition("*")
-        head = head.strip()
-        mh = _X_TERM.match(head)
-        if mh is None:
-            raise ElementSyntaxError(
-                f"expected valuation factor 'x^(a/b)', got {head!r}", first_pos)
-        val = Fraction(*_exponent(mh, first_pos))
-        lead = lead.strip()
-        if lead != "1":
-            raise NonUnitLeadingTerm(
-                f"unit part must start with 1, got {lead!r}",
-                first_pos + first_text.index("*") + 1)
-        body[0] = (first_pos, "1")
-
-    terms = []
-    last_n, last_d = 0, 0  # no term yet
-    for pos, text in body:
+        text = "1" if factored and not nums else chunk.strip()
         if text == "1":
             n, d = 0, 1
         else:
@@ -199,27 +131,85 @@ def _read_terms(s: str):
                 raise ElementSyntaxError(
                     f"expected '1' or 'x^(a/b)', got {text!r}", pos)
             n, d = _exponent(m, pos)
-        if last_d and n * last_d <= last_n * d:
+        if nums and n * dens[-1] <= nums[-1] * d:
             raise ExponentNotIncreasing(
                 f"exponent {Fraction(n, d)} does not increase past "
-                f"{Fraction(last_n, last_d)}", pos)
+                f"{Fraction(nums[-1], dens[-1])}", pos)
         if n * pd >= pn * d:
             raise NonpositivePrecision(
-                f"term x^({Fraction(n, d)}) is not representable below the "
-                f"precision O(x^({Fraction(pn, pd)}))", pos)
-        terms.append((n, d))
-        last_n, last_d = n, d
+                f"term x^({Fraction(n, d)}) is not representable below "
+                f"the precision O(x^({Fraction(pn, pd)}))", pos)
+        nums.append(n)
+        dens.append(d)
+    return nums, dens
 
-    big = lcm(pd, *{d for _, d in terms})
-    return val, big, [n * (big // d) for n, d in terms], pn * (big // pd)
+
+def _read(s: str):
+    """(valuation or None, big, grid indices on 1/big, precision index)
+    of element text; raises the positioned error of the first bad term.
+
+    The tail O(x^(P)) and the valuation factor are read first, then the
+    body by one regex split; a body the split rejects, or whose
+    exponents fail to convert, increase or stay below the precision, is
+    walked one term at a time instead.
+    """
+    try:
+        cut = s.rfind("+")
+        lead = len(s) - len(s.lstrip())  # where the first term starts
+        if cut < 0:
+            raise ElementSyntaxError(
+                "element needs at least one term and a trailing O(x^(P))",
+                lead)
+        o_text = s[cut + 1:].lstrip()
+        o_pos = len(s) - len(o_text)
+        tail = _TAIL.fullmatch(o_text)
+        if tail is None:
+            raise ElementSyntaxError("expected precision marker O(x^(P)), "
+                                     f"got {o_text.rstrip()!r}", o_pos)
+        pn, pd = _exponent(tail, o_pos)
+        val = None
+        first = s.find("+")
+        star = s.find("*", 0, first)  # -1 when there is no valuation factor
+        if star >= 0:
+            head = s[:star].strip()
+            mh = _X_TERM.match(head)
+            if mh is None:
+                raise ElementSyntaxError(
+                    f"expected valuation factor 'x^(a/b)', got {head!r}", lead)
+            val = Fraction(*_exponent(mh, lead))
+            one = s[star + 1:first].strip()
+            if one != "1":
+                raise NonUnitLeadingTerm(
+                    f"unit part must start with 1, got {one!r}", star + 1)
+        # per term: the text before it (empty when the terms are adjacent),
+        # then its three groups; the split holds the body when the last
+        # term it cuts out ends at the last "+"
+        parts = _BODY_TERM.split(s[star + 1:].lstrip())
+        if not any(parts[:-1:4]) and "+" not in parts[-1]:
+            nums, dens = parts[2::4], parts[3::4]
+            del parts  # four entries per term: free them before converting
+            try:
+                if None in nums:  # the term 1, read as x^0
+                    nums[nums.index(None)] = "0"
+                big, indices, prec = _grid(nums, dens, pn, pd)
+                if indices[-1] < prec and all(map(lt, indices,
+                                                  islice(indices, 1, None))):
+                    return val, big, indices, prec
+            except (ValueError, TypeError, ZeroDivisionError):
+                pass  # an over-long numeral, a second 1 or a zero denominator
+        return (val, *_grid(*_walk(s[:cut], star >= 0, pn, pd), pn, pd))
+    except ParseError:
+        # an empty term outranks every other error
+        empty = _EMPTY_TERM.search("+" + s)
+        if empty:
+            raise ElementSyntaxError("empty term", empty.start()) from None
+        raise
 
 
 def parse_element(s: str, *,
                   den_cap: int | None = DEFAULT_DEN_CAP) -> L0Element:
     """Parse element text into its canonical factored form."""
-    # text the bulk reader rejects is read again term by term, which
-    # raises the error of the first bad term
-    val, big, indices, prec = _read_bulk(s) or _read_terms(s)
+    val, big, indices, prec = _read(s)
     element = _factor(indices, big, prec, den_cap)
     if val is not None:
         element = compose(val + element.val, element.unit)

@@ -9,8 +9,11 @@ It replays the golden CLI transcripts of tests/cli_golden.json through
 `series._power` against the 2-adic coordinates of tests/oracles.py
 (also for p at or above 2**s and k = 3**2000),
 checks `bitops.clmul` against a plain shift-and-XOR product on both
-sides of each comb cutoff and of the window switch, and checks one
-4-bit comb product at stride 3 against schoolbook convolution.
+sides of each comb cutoff and of the window switch, checks one 4-bit
+comb product at stride 3 against schoolbook convolution, and checks the
+element reader against the reference parser on wire-shaped texts:
+well-formed, with each defect of the benchmark's malformed inputs and
+with an empty term.
 It prints one line per part and exits 1 if any part fails.  pytest
 does not collect this file; the Tier-1 suite covers the same ground
 where pytest is installed.
@@ -23,14 +26,16 @@ import random
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
+from fractions import Fraction
 from pathlib import Path
 from unittest import mock
 
-from f2puiseux import bitops, series
+from f2puiseux import ParseError, bitops, parse_element, series
 from f2puiseux.cli import main
 
 from oracles import (bits_to_coeffs, coeffs_to_bits, convolve_mod2,
-                     coordinates_match, reference_spread, unit_coordinates)
+                     coordinates_match, reference_parse_element,
+                     reference_spread, unit_coordinates)
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -145,13 +150,85 @@ def comb_stride3():
     return 1, [] if ok else [(a.bit_length(), b.bit_length(), 3)]
 
 
+def wire_text(rng, defect, blanks):
+    """A unit, factored or raw element text shaped like the wire
+    workload's, with its defect 0..5 (None for none) or, for defect 6,
+    an empty term; separators with Unicode blanks when blanks is set."""
+    den, terms = rng.choice((1, 2, 3, 4, 6, 8, 12)), rng.randint(4, 40)
+    v = Fraction(rng.randint(-40, 40), rng.choice((1, 2, 3)))
+    exps = [Fraction(j, den) for j in sorted(rng.sample(range(1, 2 * terms),
+                                                        terms - 1))]
+    prec = Fraction(2 * terms, den)
+
+    def power(e):
+        k = rng.choice((1, 1, 1, 2, 3))  # an unreduced fraction now and then
+        if e.denominator == 1 and k == 1 and rng.random() < 0.5:
+            return f"x^{e.numerator}"
+        return f"x^({e.numerator * k}/{e.denominator * k})"
+
+    form = "unit" if defect is not None else rng.choice(("unit", "factored",
+                                                         "raw"))
+    if form == "raw":
+        parts = [power(v + e) for e in [0, *exps, prec]]
+    else:
+        parts = ["1"] + [power(e) for e in exps] + [power(prec)]
+        if form == "factored":
+            parts[0] = f"{power(v)}{rng.choice(('*', ' * ', ' *'))}1"
+    parts[-1] = f"O({parts[-1]})"
+    mid = rng.randrange(1, len(parts) - 2)
+    if defect == 0:
+        parts[mid], parts[mid + 1] = parts[mid + 1], parts[mid]
+    elif defect == 1:
+        parts.pop()
+    elif defect == 2:
+        parts[mid] = "x^(1/0)"
+    elif defect == 3:
+        parts.insert(-1, "x^(1000000)")
+    elif defect == 4:
+        parts[0] = "x^(1/2) * x^(1)"
+    elif defect == 5:  # an unbalanced parenthesis
+        bad = parts[mid]
+        parts[mid] = bad.replace(")", "", 1) if ")" in bad else bad + "("
+    elif defect == 6:
+        parts.insert(rng.randrange(len(parts) + 1), "")
+    seps = (" + ", "+", "  +   ", " +", "+ ")
+    if blanks:
+        seps += ("\t+\n", " +\u00a0", "\u2003+\u2003")
+    out = rng.choice(("", " ")) + parts[0]
+    for part in parts[1:]:
+        out += rng.choice(seps) + part
+    return out
+
+
+def outcome(parse, text):
+    try:
+        a = parse(text)
+    except ParseError as exc:
+        return type(exc), exc.position, str(exc)
+    return a.val, a.unit.den, a.unit.body.coeffs, a.unit.body.prec
+
+
+def reader():
+    # 40 texts per defect and 40 well-formed ones, a quarter of them
+    # with Unicode blanks, against the reference parser
+    rng = random.Random(17)
+    texts = [wire_text(rng, defect, i % 4 == 0)
+             for defect in (None, *range(7)) for i in range(40)]
+    bad = [text[:60] for text in texts
+           if outcome(parse_element, text)
+           != outcome(reference_parse_element, text)]
+    return len(texts), bad
+
+
 if __name__ == "__main__":
     failed = False
     for name, part in (("golden transcripts", golden), ("demos", demos),
                        ("powers against coordinates", powers),
                        ("clmul against shift-and-XOR", kernel),
                        ("4-bit comb at stride 3 against convolution",
-                        comb_stride3)):
+                        comb_stride3),
+                       ("element reader against the reference parser",
+                        reader)):
         total, bad = part()
         failed |= bool(bad)
         print(f"{name}: {total - len(bad)} of {total} pass"

@@ -6,9 +6,11 @@ and, on every rejected one, in exception type, position and message.
 """
 
 import random
+import re
 import sys
 import tracemalloc
 from fractions import Fraction as Q
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -18,6 +20,7 @@ from f2puiseux import (DenominatorOverflow, ElementSyntaxError,
                        ExponentNotIncreasing, F2Series, Indistinguishable,
                        ParseError, PuiseuxUnit, compose, decompose_raw,
                        format_unit, parse_element, textform)
+from f2puiseux.bitops import support_gcd
 from f2puiseux.textform import parse_rational
 from oracles import (reference_decompose_raw, reference_format_unit,
                      reference_parse_element)
@@ -73,11 +76,21 @@ def _outcome(parse, render, text, **kwargs):
     return a.val, a.unit.den, a.unit.body.coeffs, a.unit.body.prec, text
 
 
+def _assert_minimal(den, coeffs, prec):
+    # parsing builds the unit without the constructor's stride test; it
+    # must already be the unit the constructor builds
+    assert support_gcd(coeffs, gcd(den, prec)) == 1
+    u = PuiseuxUnit(den, F2Series(coeffs, prec))
+    assert (u.den, u.body.coeffs, u.body.prec) == (den, coeffs, prec)
+
+
 def _agree(text, **kwargs):
     got = _outcome(parse_element, format_unit, text, **kwargs)
     want = _outcome(reference_parse_element, reference_format_unit, text,
                     **kwargs)
     assert got == want, text
+    if not isinstance(got[0], type):
+        _assert_minimal(*got[1:4])
     return got
 
 
@@ -190,6 +203,8 @@ class TestDecomposeRawAgainstReference:
             except (ValueError, DenominatorOverflow) as exc:
                 outcomes.append((type(exc), str(exc)))
         assert outcomes[0] == outcomes[1]
+        if len(outcomes[0]) == 4:
+            _assert_minimal(*outcomes[0][1:])
 
     def test_cap_checked_before_allocation(self):
         # on the common grid 1/1000000007 the bitmap would take 125 MB
@@ -277,7 +292,7 @@ class TestLongNumerals:
 
 
 # ---------------------------------------------------------------------------
-# long texts: the bulk reader, and its fallback to the per-term reader
+# long texts: the reader's regex split, and its walk one term at a time
 
 # separators with more of the blanks that str.strip() removes
 WIDE_SEPARATORS = SEPARATORS + ("\t+\n", "\n+ ", " +\u00a0",
@@ -321,6 +336,10 @@ def _join_wide(rng, parts):
     return "".join(out)
 
 
+def _no_walk(*args):
+    raise AssertionError("the term walk was entered")
+
+
 def _numeral_position(text, numeral):
     return text.rfind(numeral) - text[:text.rfind(numeral)].endswith("-")
 
@@ -328,15 +347,15 @@ def _numeral_position(text, numeral):
 class TestLongTextsAgainstReference:
     @pytest.mark.parametrize("form", ("unit", "factored", "raw"))
     @pytest.mark.parametrize("terms", (256, 1024, 8192))
-    def test_wellformed(self, form, terms):
+    def test_wellformed(self, form, terms, monkeypatch):
         rng = random.Random(f"long:{form}:{terms}")
         text = _join_wide(rng, _long_parts(rng, form, terms))
         assert all(c in text for c in ("\t", "\n", "\u00a0", "\u2003"))
         assert any(chr(c) in text for c in range(0x660, 0x66a))
+        # the split takes it: the term walk is never entered
+        monkeypatch.setattr(textform, "_walk", _no_walk)
         got = _agree(text)
         assert not isinstance(got[0], type)
-        # the bulk reader took it, and the per-term reader reads the same
-        assert textform._read_bulk(text) == textform._read_terms(text)
 
     def test_exponents_spread_wide(self):
         # numerators over +-65536 on mixed grids: a body of millions of
@@ -346,14 +365,22 @@ class TestLongTextsAgainstReference:
         got = _agree(text)
         assert got[3] > 1 << 20
 
-    def test_one_amid_negative_exponents(self):
+    def test_one_amid_negative_exponents(self, monkeypatch):
         text = "x^(-7/2) +\tx^-3 + x^(-2/4) +\u00a01 + x^(\u0663) + O(x^4)"
-        assert textform._read_bulk(text) is not None
+        monkeypatch.setattr(textform, "_walk", _no_walk)
         assert _agree(text)[0] == Q(-7, 2)
 
     @pytest.mark.parametrize("defect", range(6))
-    def test_wire_defects_near_the_end(self, defect):
-        # the defects of test_wire_defects, a few terms before the end
+    def test_wire_defects_near_the_end(self, defect, monkeypatch):
+        # the defects of test_wire_defects, a few terms before the end; a
+        # bad body term (defects 0, 2, 3 and 5) sends the reader into the
+        # term walk, while a bad tail (1) or valuation factor (4) raises
+        # before the body is split
+        real, walks = textform._walk, []
+        monkeypatch.setattr(textform, "_walk",
+                            lambda *args: walks.append(args) or real(*args))
+        if defect in (1, 4):
+            monkeypatch.setattr(textform, "_BODY_TERM", None)
         for seed in range(3):
             rng = random.Random(f"long:{defect}:{seed}")
             parts = _long_parts(rng, "unit", rng.randint(1000, 1500))
@@ -373,8 +400,34 @@ class TestLongTextsAgainstReference:
                 parts[mid] = (bad.replace(")", "", 1) if ")" in bad
                               else bad + "(")
             text = _join_wide(rng, parts)
+            walks.clear()
             assert isinstance(_agree(text)[0], type)
-            assert textform._read_bulk(text) is None
+            assert len(walks) == (defect not in (1, 4))
+
+    @pytest.mark.parametrize("form", ("unit", "factored", "raw"))
+    def test_walk_alone_reads_wellformed_text(self, form, monkeypatch):
+        # a split that never matches leaves every body to the walk, which
+        # returns what the split reads
+        rng = random.Random(f"walk:{form}")
+        texts = [_join_wide(rng, _long_parts(rng, form, terms))
+                 for terms in (1, 2, 5, 300)]
+        texts += [_join(rng, _element_parts(rng, form)) for _ in range(50)]
+        want = [textform._read(text) for text in texts]
+        monkeypatch.setattr(textform, "_BODY_TERM", re.compile(r"(?!)"))
+        for text, read in zip(texts, want):
+            assert textform._read(text) == read
+            assert not isinstance(_agree(text)[0], type)
+
+    @pytest.mark.parametrize("text,position", [
+        (" + 1 + O(x^2)", 0),  # before a leading term
+        ("x^(a) * 1 + + O(x^2)", 11),  # after a bad valuation factor
+        ("1 + x^(1 + + O(x^2)", 10),  # after a bad term
+        ("1 + O(x^2) +", 12),  # a bad tail
+    ])
+    def test_empty_term_outranks_every_error(self, text, position):
+        assert _agree(text) == (
+            ElementSyntaxError, position,
+            f"empty term (at position {position})")
 
     @pytest.mark.parametrize("template", [
         "x^({})", "x^(1/{})", "x^{}", "O(x^({}))", "x^(-{}/3) * 1",
