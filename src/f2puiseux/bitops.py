@@ -28,10 +28,9 @@ outweighs the 256-entry table.  That is about n/w shift-XORs for an
 n-bit operand, each on ints of up to 2n bits, so the comb is quadratic
 in word operations, with a small constant.  The size sweep of a traced
 `dense` benchmark run (perfbench/run.py --trace 1) fits a log-log
-scaling exponent of 1.51-1.56 over 2**10..2**16 bits, where the
-guard-field embedding that the comb replaced fit 1.57-1.62.  The fit
-stays below 2 because the table's fixed cost weighs most at the small
-end of the sweep; it is not a sub-quadratic bound.  With stride=m,
+scaling exponent of 1.51-1.56 over 2**10..2**16 bits.  The fit stays
+below 2 because the table's fixed cost weighs most at the small end of
+the sweep; it is not a sub-quadratic bound.  With stride=m,
 clmul returns a * spread(b, m) by shifting m times as far when it
 walks b, so its table holds a * spread(v, m) and no spread is formed,
 unless a is the sparser operand: then a is walked against

@@ -12,7 +12,10 @@ An L0Element adds an exact rational valuation: the pair (val, unit)
 stands for x**val * unit.  Multiplication adds valuations and
 multiplies units, so the element group splits as the direct product of
 the rationals and the unit group; decompose/compose move between the
-raw-series view and that product view.
+raw-series view and that product view.  Parsed text and decompose_raw's
+exponent lists share one core: _grid puts the exponents on the grid
+1/big, big the lcm of the denominators, and _factor splits off the
+valuation and the unit on its minimal grid.
 
 Every unit is stored normalized, on the coarsest grid its body,
 precision and den allow, and the constructor checks that with
@@ -32,7 +35,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import repeat
 from math import gcd, lcm
-from operator import floordiv, sub
+from operator import floordiv, mul, sub
 from typing import Iterable, Union
 
 from . import series
@@ -244,7 +247,7 @@ def elements_agree(a: L0Element, b: L0Element) -> bool:
 
 def compose(val: RationalLike, unit: PuiseuxUnit) -> L0Element:
     """Pair a rational valuation with a unit; inverse of decompose."""
-    return L0Element(Fraction(val), unit)
+    return L0Element(val, unit)
 
 
 def decompose(a: L0Element) -> tuple[Rational, PuiseuxUnit]:
@@ -260,18 +263,28 @@ def decompose_raw(exponents: Iterable[RationalLike], aprec: RationalLike, *,
     least surviving exponent becomes the valuation and is divided out.
     """
     aprec = Fraction(aprec)
-    exps = []
+    nums, dens = [], []
     for e in exponents:
         e = Fraction(e)
         if e >= aprec:
             raise ValueError(
                 f"term x^({e}) lies at or beyond the precision O(x^({aprec}))")
-        exps.append(e)
-    # every exponent is an index on the grid 1/big; repeats cancel by parity
-    big = lcm(aprec.denominator, *{e.denominator for e in exps})
-    counts = Counter([e.numerator * (big // e.denominator) for e in exps])
-    return _factor(sorted(i for i, c in counts.items() if c & 1), big,
-                   aprec.numerator * (big // aprec.denominator), den_cap)
+        nums.append(e.numerator)
+        dens.append(e.denominator)
+    big, indices, prec = _grid(nums, dens, aprec.numerator, aprec.denominator)
+    odd = [i for i, c in Counter(indices).items() if c & 1]  # repeats cancel
+    return _factor(sorted(odd), big, prec, den_cap)
+
+
+def _grid(nums, dens, pn: int, pd: int):
+    """big, the lcm of pd and the denominators, the indices on 1/big of
+    the exponents nums[i]/dens[i] (ints or numerals, a denominator None
+    for 1, each distinct one converted once) and the index of pn/pd."""
+    den_of = {d: 1 if d is None else int(d) for d in set(dens)}
+    big = lcm(pd, *den_of.values())
+    scale = {d: big // n for d, n in den_of.items()}
+    return (big, list(map(mul, map(int, nums), map(scale.__getitem__, dens))),
+            pn * (big // pd))
 
 
 def _factor(indices: list[int], big: int, prec: int,
@@ -329,6 +342,5 @@ def element_scalar_mul(r: RationalLike, a: L0Element, *,
 def element_root(a: L0Element, k: int, *,
                  den_cap: int | None = DEFAULT_DEN_CAP) -> L0Element:
     """The unique k-th root whose unit part has residue 1."""
-    if k < 1:
-        raise ValueError(f"root index must be >= 1, got {k}")
-    return element_scalar_mul(Fraction(1, k), a, den_cap=den_cap)
+    unit = unit_root(a.unit, k, den_cap=den_cap)  # checks k before a.val / k
+    return L0Element(a.val / k, unit)

@@ -17,17 +17,16 @@ identity.
 The codec works on integer grid indices, in time linear in the number
 of terms.  One reader parses: after the precision marker and the
 valuation factor, one regex split checks every body term and cuts out
-its numerals, int() converts the numerators, and each denominator
-numeral is converted once.  An exponent n/d becomes the index
-n * (big // d) on the grid 1/big, big the lcm of all denominators, so
-an unreduced fraction lands where its reduced form does; one pass
-checks that the indices increase and one comparison bounds them by the
-precision.  A body that fails any of this is walked one term at a time,
-and the first bad term raises its positioned error; an empty term
-outranks every other error.  The indices are factored by the core that
-puiseux.decompose_raw uses.  Formatting renders bit j of a unit body on
-the grid 1/den as j/den, reduced by one gcd.  Fractions are built only
-for the valuation and for error texts.
+its numerals, and puiseux._grid converts them, each distinct denominator
+once: an exponent n/d becomes the index n * (big // d) on the grid
+1/big, big the lcm of all denominators, so an unreduced fraction lands
+where its reduced form does; one pass checks that the indices increase
+and one comparison bounds them by the precision.  A body that fails any
+of this is walked one term at a time, and the first bad term raises its
+positioned error; an empty term outranks every other error.  The grid
+and the factoring are those of puiseux.decompose_raw.  Formatting
+renders bit j of a unit body on the grid 1/den as j/den, reduced by one
+gcd.  Fractions are built only for the valuation and for error texts.
 """
 
 from __future__ import annotations
@@ -36,14 +35,14 @@ import re
 import sys
 from fractions import Fraction
 from itertools import islice
-from math import gcd, lcm
-from operator import lt, mul
+from math import gcd
+from operator import lt
 
 from .bitops import bit_indices
 from .errors import (ElementSyntaxError, ExponentNotIncreasing,
                      NonpositivePrecision, NonUnitLeadingTerm, ParseError)
 from .puiseux import (DEFAULT_DEN_CAP, L0Element, PuiseuxUnit, Rational,
-                      _factor, compose)
+                      _factor, _grid, compose)
 
 # x^n, x^(n) or x^(n/d): group 1 is the parenthesis, 2 the numerator
 # and 3 the denominator, which only a parenthesized exponent may have
@@ -59,17 +58,23 @@ _TAIL = re.compile(rf"O\({_EXPONENT}\)\s*")
 _EMPTY_TERM = re.compile(r"\+\s*(?=\+|\Z)")
 
 
-def _too_long(m: re.Match, offset: int) -> ElementSyntaxError:
-    # int() refuses more digits than sys.get_int_max_str_digits(); blame
-    # the first numeral converted, a denominator (the last group) before
-    # its numerator
-    limit = sys.get_int_max_str_digits()
-    group = next(g for g in (m.re.groups, m.re.groups - 1)
-                 if len((m.group(g) or "").lstrip("-")) > limit)
-    digits = len(m.group(group).lstrip("-"))
-    return ElementSyntaxError(
-        f"numeral of {digits} digits exceeds the limit of {limit} digits",
-        offset + m.start(group))
+def _numerals(m: re.Match, offset: int) -> tuple[int, int]:
+    """The numerator and denominator numerals of m, its last two groups,
+    as ints; a missing denominator is 1, and a zero one zeroes both."""
+    num, den = m.groups()[-2:]
+    try:
+        den = 1 if den is None else int(den)
+        return (int(num) if den else 0), den
+    except ValueError:
+        # int() refuses more digits than sys.get_int_max_str_digits();
+        # blame the first numeral converted, the denominator first
+        limit = sys.get_int_max_str_digits()
+        group = next(g for g in (m.re.groups, m.re.groups - 1)
+                     if len((m.group(g) or "").lstrip("-")) > limit)
+        digits = len(m.group(group).lstrip("-"))
+        raise ElementSyntaxError(
+            f"numeral of {digits} digits exceeds the limit of {limit} "
+            "digits", offset + m.start(group)) from None
 
 
 def parse_rational(text: str) -> Rational:
@@ -79,12 +84,7 @@ def parse_rational(text: str) -> Rational:
     if m is None:
         raise ElementSyntaxError(f"expected a rational number, got {text!r}",
                                  0)
-    num, den = m.groups()
-    try:
-        den = 1 if den is None else int(den)
-        num = int(num) if den else 0
-    except ValueError:
-        raise _too_long(m, text.index(stripped)) from None
+    num, den = _numerals(m, text.index(stripped))
     if den == 0:
         raise ElementSyntaxError("zero denominator", 0)
     return Fraction(num, den)
@@ -92,26 +92,10 @@ def parse_rational(text: str) -> Rational:
 
 def _exponent(m: re.Match, position: int) -> tuple[int, int]:
     """The exponent of a matched term as a (num, den) pair, den > 0."""
-    _, num, den = m.groups()
-    try:
-        den = 1 if den is None else int(den)
-        num = int(num) if den else 0  # a zero denominator is reported first
-    except ValueError:
-        raise _too_long(m, position) from None
-    if den == 0:
+    pair = _numerals(m, position)
+    if pair[1] == 0:
         raise ElementSyntaxError("zero denominator in exponent", position)
-    return num, den
-
-
-def _grid(nums, dens, pn: int, pd: int):
-    """big, the lcm of pd and the denominators, the indices on 1/big of
-    the exponents nums[i]/dens[i] (ints or numerals, a denominator None
-    for 1, each distinct one converted once) and the index of pn/pd."""
-    den_of = {d: 1 if d is None else int(d) for d in set(dens)}
-    big = lcm(pd, *den_of.values())
-    scale = {d: big // n for d, n in den_of.items()}
-    return (big, list(map(mul, map(int, nums), map(scale.__getitem__, dens))),
-            pn * (big // pd))
+    return pair
 
 
 def _walk(body: str, factored: bool, pn: int, pd: int):

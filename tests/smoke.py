@@ -13,7 +13,10 @@ sides of each comb cutoff and of the window switch, checks one 4-bit
 comb product at stride 3 against schoolbook convolution, and checks the
 element reader against the reference parser on wire-shaped texts:
 well-formed, with each defect of the benchmark's malformed inputs and
-with an empty term.
+with an empty term.  It also runs the first 200 seeded command lines
+of tests/argv_fuzz.py, which the Tier-1 suite runs 1000 of, and checks
+that each ends in output, one diagnostic or a usage error, never a
+traceback.
 It prints one line per part and exits 1 if any part fails.  pytest
 does not collect this file; the Tier-1 suite covers the same ground
 where pytest is installed.
@@ -33,6 +36,7 @@ from unittest import mock
 from f2puiseux import ParseError, bitops, parse_element, series
 from f2puiseux.cli import main
 
+from argv_fuzz import broken_rule, draws
 from oracles import (bits_to_coeffs, coeffs_to_bits, convolve_mod2,
                      coordinates_match, reference_parse_element,
                      reference_spread, unit_coordinates)
@@ -220,6 +224,11 @@ def reader():
     return len(texts), bad
 
 
+def argv_fuzz():
+    argvs = draws(1, 200)
+    return len(argvs), [argv for argv in argvs if broken_rule(argv)]
+
+
 if __name__ == "__main__":
     failed = False
     for name, part in (("golden transcripts", golden), ("demos", demos),
@@ -228,7 +237,9 @@ if __name__ == "__main__":
                        ("4-bit comb at stride 3 against convolution",
                         comb_stride3),
                        ("element reader against the reference parser",
-                        reader)):
+                        reader),
+                       ("seeded command lines without a traceback",
+                        argv_fuzz)):
         total, bad = part()
         failed |= bool(bad)
         print(f"{name}: {total - len(bad)} of {total} pass"

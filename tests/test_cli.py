@@ -13,6 +13,8 @@ import pytest
 
 from f2puiseux.cli import build_parser, main
 
+from argv_fuzz import broken_rule, draws
+
 
 def run(capsys, *argv):
     code = main(list(argv))
@@ -321,6 +323,10 @@ CASES = [
     *_both("fq-scan", "--max", "1"),
     *_both("fq-scan", "--max", "10000000000"),
     ["fq-scan", "--max", "-3"],
+    # a zero-denominator precision is one typed error, not a traceback
+    *_both("axioms", "--samples", "2", "--aprec", "1/0"),
+    ["torsion", "--samples", "2", "--aprec", "0/0"],
+    [*R, "bijectivity", "--samples", "2", "--aprec", " 3/0 "],
 ]
 
 
@@ -359,6 +365,20 @@ def test_fixed_usage_is_what_argparse_makes_at_80_columns():
     generated.usage = None
     with mock.patch.dict(os.environ, {"COLUMNS": "80"}):
         assert parser.format_usage() == generated.format_usage()
+
+
+def test_argv_fuzz_prints_no_traceback():
+    """1000 seeded command lines over all eleven commands, bad tokens,
+    zero denominators, den caps 1-12 and both formats among them: each
+    run returns 0 with output, or 1 with one diagnostic or a harness's
+    FAIL report, or ends in argparse's exit 2 (tests/argv_fuzz.py).
+
+    The draws keep to sizes that need no precision budget.  Huge
+    indices, exponents, root indices and scan sizes are left out until
+    a budget bounds them before the work starts."""
+    bad = [(argv, rule) for argv in draws(1, 1000)
+           if (rule := broken_rule(argv))]
+    assert bad == []
 
 
 def test_parser_reuse_leaks_no_state(capsys):

@@ -205,6 +205,13 @@ class TestUnitRoot:
         u = U(3, 0b101, 4)
         assert unit_root(u, 1) == u
 
+    @pytest.mark.parametrize("k", [0, -1])
+    def test_index_below_one(self, k):
+        with pytest.raises(ValueError) as info:
+            unit_root(U(3, 0b101, 4), k)
+        assert type(info.value) is ValueError
+        assert str(info.value) == f"root index must be >= 1, got {k}"
+
     def test_cube_root(self):
         out = unit_root(U(1, 0b11, 3), 3)
         assert out.den == 1 and out.body.coeffs == 0b111
@@ -503,6 +510,12 @@ class TestElements:
         a = L0Element(Q(1), PuiseuxUnit.one(4))
         out = element_root(a, 2)
         assert out.val == Q(1, 2)
+        # an index below 1 is refused before the valuation is divided
+        for k in (0, -1):
+            with pytest.raises(ValueError) as info:
+                element_root(a, k)
+            assert type(info.value) is ValueError
+            assert str(info.value) == f"root index must be >= 1, got {k}"
 
 
 class TestDecomposeRaw:
