@@ -81,8 +81,25 @@ def _grid_choices(aprec: Fraction):
     dens = [d for d in SAMPLE_DENS if d % aprec.denominator == 0
             and aprec.numerator * d >= aprec.denominator]
     if not dens:
-        raise ValueError(f"no sample grid carries precision {aprec}")
+        raise ValueError(
+            f"no sample grid carries precision {_brief(aprec)}")
     return dens
+
+
+def _brief(x: Fraction) -> str:
+    """x as text, with any term of more than 40 digits given by its
+    digit count: an int of over 4300 digits cannot be printed."""
+    def term(n):
+        m = abs(n)
+        if m < 10 ** 40:
+            return str(n)
+        k = (m.bit_length() - 1) * 30102 // 100000 + 1  # <= digits of m
+        while 10 ** k <= m:
+            k += 1
+        return f"{'-' * (n < 0)}<{k} digits>"
+
+    top = term(x.numerator)
+    return top if x.denominator == 1 else f"{top}/{term(x.denominator)}"
 
 
 def random_unit(rng: random.Random, aprec) -> PuiseuxUnit:

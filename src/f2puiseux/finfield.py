@@ -17,16 +17,20 @@ checked twice, by trial division and by the Lucas-Lehmer sequence.
 
 `prime_power_scan` walks the primes of one sieve in ascending order
 and merges in the few proper powers p**n (n >= 2, so p <= sqrt(q_max)).
-Both routes return the "no" and the trivial answer as shared frozen
-values, and `is_prime` reads a number inside the sieve in one step, so
-a row costs little beyond its two verdicts.
+Its rows are built without the constructor's primality check, since p
+comes off the sieve and the merge already knows q.  Both routes return
+the "no" and the trivial answer as shared frozen values, and the
+oracle reduces every element of the cyclic group in one C-level `map`,
+so a row costs little beyond its two verdicts.  Trial division tries
+no divisor above the desk-scale limit and raises OutOfRange instead.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import chain, compress
+from itertools import chain, compress, repeat
 from math import isqrt
+from operator import mod
 
 from .errors import OutOfRange
 
@@ -63,7 +67,9 @@ def is_prime(n: int) -> bool:
 
 
 def trial_division_prime(n: int) -> bool:
-    """Literal trial division by 2 and every odd integer up to sqrt(n)."""
+    """Literal trial division by 2 and every odd integer up to sqrt(n);
+    OutOfRange when sqrt(n) passes the desk-scale limit before a factor
+    turns up."""
     return n >= 2 and _smallest_prime_factor(n) == n
 
 
@@ -129,6 +135,16 @@ class PrimePower:
         return cls(p, n)
 
 
+def _row(p: int, n: int, q: int) -> PrimePower:
+    """PrimePower(p, n) for a p off the sieve and q == p**n, built
+    without the constructor's checks."""
+    r = object.__new__(PrimePower)
+    object.__setattr__(r, "p", p)
+    object.__setattr__(r, "n", n)
+    object.__setattr__(r, "q", q)
+    return r
+
+
 @dataclass(frozen=True)
 class FqVerdict:
     """Answer for one q: is the multiplicative group a linear space.
@@ -151,11 +167,14 @@ _TRIVIAL = FqVerdict(True, None, 0)
 def _smallest_prime_factor(n: int) -> int:
     if n % 2 == 0:
         return 2
-    d = 3
-    while d * d <= n:
+    root = isqrt(n)
+    for d in range(3, min(root, _DESK_LIMIT) + 1, 2):
         if n % d == 0:
             return d
-        d += 2
+    if root > _DESK_LIMIT:
+        raise OutOfRange(
+            f"trial division of a {n.bit_length()}-bit number found no "
+            f"factor up to the desk-scale limit {_DESK_LIMIT}")
     return n
 
 
@@ -193,9 +212,9 @@ def elementary_abelian_oracle(pp: PrimePower) -> FqVerdict:
         m += 1
     if rest != 1:
         return _NO  # two distinct primes divide the order
-    for a in range(order):
-        if (a * p2) % order:
-            return _NO  # element of order not dividing p'
+    # a * p' mod (q - 1) for every element a, in C
+    if any(map(mod, range(0, order * p2, p2), repeat(order))):
+        return _NO  # element of order not dividing p'
     return FqVerdict(True, p2, m)
 
 
@@ -220,7 +239,7 @@ def prime_power_scan(q_max: int, *, include_oracle: bool = True
             n += 1
     out = []
     for q in sorted(chain(compress(range(q_max + 1), _sieve), powers)):
-        pp = PrimePower(*powers[q]) if q in powers else PrimePower(q, 1)
+        pp = _row(*powers[q], q) if q in powers else _row(q, 1, q)
         verdict = linear_space_verdict(pp)
         oracle = elementary_abelian_oracle(pp) if include_oracle else None
         out.append((pp, verdict, oracle))

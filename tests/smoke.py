@@ -13,8 +13,11 @@ sides of each comb cutoff and of the window switch, checks one 4-bit
 comb product at stride 3 against schoolbook convolution, and checks the
 element reader against the reference parser on wire-shaped texts:
 well-formed, with each defect of the benchmark's malformed inputs and
-with an empty term.  It also runs the first 200 seeded command lines
-of tests/argv_fuzz.py, which the Tier-1 suite runs 1000 of, and checks
+with an empty term.  It checks the field scan against the reference
+scan around 2**13, with and without the oracle, its rows against rows
+from the public constructor, and the oracle at q = 2**13, 2**17 and
+2**18.  It also runs the first 200 seeded command lines of
+tests/argv_fuzz.py, which the Tier-1 suite runs 1000 of, and checks
 that each ends in output, one diagnostic or a usage error, never a
 traceback.
 It prints one line per part and exits 1 if any part fails.  pytest
@@ -33,13 +36,16 @@ from fractions import Fraction
 from pathlib import Path
 from unittest import mock
 
-from f2puiseux import ParseError, bitops, parse_element, series
+from f2puiseux import (FqVerdict, ParseError, PrimePower, bitops,
+                       elementary_abelian_oracle, parse_element,
+                       prime_power_scan, series)
 from f2puiseux.cli import main
 
 from argv_fuzz import broken_rule, draws
 from oracles import (bits_to_coeffs, coeffs_to_bits, convolve_mod2,
                      coordinates_match, reference_parse_element,
-                     reference_spread, unit_coordinates)
+                     reference_prime_power_scan, reference_spread,
+                     unit_coordinates)
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -224,6 +230,31 @@ def reader():
     return len(texts), bad
 
 
+def row(pp):
+    return pp, hash(pp), repr(pp), vars(pp)
+
+
+def census():
+    # scans with and without the oracle against the reference, the
+    # scan's rows against constructed ones, and the oracle's walk over
+    # the 8191 and 131071 elements of two Mersenne orders
+    scans = [(q_max, include_oracle)
+             for q_max in (2, 3, 4, 8191, 8192, 8193)
+             for include_oracle in (True, False)]
+    bad = []
+    for q_max, include_oracle in scans:
+        rows = prime_power_scan(q_max, include_oracle=include_oracle)
+        if rows != reference_prime_power_scan(
+                q_max, include_oracle=include_oracle) or any(
+                row(pp) != row(PrimePower(pp.p, pp.n)) for pp, _, _ in rows):
+            bad.append((q_max, include_oracle))
+    answers = ((13, FqVerdict(True, 8191, 1)),
+               (17, FqVerdict(True, 131071, 1)), (18, FqVerdict(False)))
+    bad += [(2, n) for n, want in answers
+            if elementary_abelian_oracle(PrimePower(2, n)) != want]
+    return len(scans) + len(answers), bad
+
+
 def argv_fuzz():
     argvs = draws(1, 200)
     return len(argvs), [argv for argv in argvs if broken_rule(argv)]
@@ -238,6 +269,7 @@ if __name__ == "__main__":
                         comb_stride3),
                        ("element reader against the reference parser",
                         reader),
+                       ("field scan against the reference scan", census),
                        ("seeded command lines without a traceback",
                         argv_fuzz)):
         total, bad = part()

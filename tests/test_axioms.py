@@ -197,6 +197,24 @@ class TestSampler:
         with pytest.raises(ValueError):
             random_unit(rng, Q(1, 5))
 
+    def test_long_precision_named_by_its_digit_count(self):
+        # str() of an int of over 4300 digits raises, so the message
+        # counts the digits of a long term instead of printing it
+        rng = _rng(0, "demo", 2)
+        for aprec, brief in ((Q(1, 10 ** 5000), "1/<5001 digits>"),
+                             (Q(1, 10 ** 4299), "1/<4300 digits>"),
+                             (Q(-(10 ** 60), 7), "-<61 digits>/7"),
+                             (Q(1, 10 ** 39), f"1/{10 ** 39}"),
+                             (Q(0), "0")):
+            with pytest.raises(ValueError, match=(
+                    f"^no sample grid carries precision {brief}$")):
+                random_unit(rng, aprec)
+
+    def test_digit_counts_at_powers_of_ten(self):
+        for k in range(41, 400):
+            for n in (10 ** k - 1, 10 ** k, 10 ** k + 1):
+                assert axioms._brief(Q(n)) == f"<{len(str(n))} digits>"
+
 
 @pytest.fixture
 def lossy_mul(monkeypatch):

@@ -327,6 +327,9 @@ CASES = [
     *_both("axioms", "--samples", "2", "--aprec", "1/0"),
     ["torsion", "--samples", "2", "--aprec", "0/0"],
     [*R, "bijectivity", "--samples", "2", "--aprec", " 3/0 "],
+    # a precision too long to print is named by its digit count
+    *_both("axioms", "--samples", "1", "--aprec", "1e-5000"),
+    *_both("torsion", "--samples", "1", "--aprec", "1e-5000"),
 ]
 
 

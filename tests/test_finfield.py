@@ -35,8 +35,12 @@ class TestPrimePower:
         assert pp == PrimePower(2, 7) and repr(pp) == "PrimePower(p=2, n=7)"
 
     def test_scan_rows_hold_q(self):
-        for pp, _, _ in prime_power_scan(200):
-            assert vars(pp)["q"] == pp.p ** pp.n
+        # the scan builds its rows without the constructor's checks; each
+        # still equals the constructed row, q = p ** n included
+        for pp, _, _ in prime_power_scan(5000, include_oracle=False):
+            built = PrimePower(pp.p, pp.n)
+            assert pp == built and hash(pp) == hash(built)
+            assert repr(pp) == repr(built) and vars(pp) == vars(built)
 
     def test_from_q(self):
         assert PrimePower.from_q(243) == PrimePower(3, 5)
@@ -45,6 +49,13 @@ class TestPrimePower:
             PrimePower.from_q(12)
         with pytest.raises(ValueError):
             PrimePower.from_q(1)
+
+    def test_from_q_beyond_trial_division(self):
+        # an even q needs no trial division; 2^61 - 1 is a prime whose
+        # square root passes the desk-scale limit
+        assert PrimePower.from_q(2 ** 100) == PrimePower(2, 100)
+        with pytest.raises(OutOfRange):
+            PrimePower.from_q(2 ** 61 - 1)
 
 
 class TestMersenneExponent:
@@ -76,6 +87,15 @@ class TestMersenneExponent:
         assert all(trial_division_prime(n) == finfield.is_prime(n)
                    for n in range(5000))
 
+    def test_trial_division_stops_at_the_desk_limit(self):
+        # 4194301 is the largest prime at or below 2^22, 4194319 the
+        # smallest above it
+        limit = finfield._DESK_LIMIT
+        assert 4194301 <= limit < 4194319
+        assert not trial_division_prime(4194301 ** 2)
+        with pytest.raises(OutOfRange):
+            trial_division_prime(4194319 ** 2)
+
 
 class TestVerdict:
     def test_q2_dimension_zero(self):
@@ -90,6 +110,12 @@ class TestVerdict:
 
     def test_q9_no(self):
         assert linear_space_verdict(PrimePower(3, 2)) == FqVerdict(False)
+
+    def test_mersenne_candidate_beyond_trial_division(self):
+        assert linear_space_verdict(PrimePower(2, 31)) == FqVerdict(
+            True, 2 ** 31 - 1, 1)
+        with pytest.raises(OutOfRange):
+            linear_space_verdict(PrimePower(2, 61))
 
     def test_odd_q_above_3_always_no(self):
         for pp, verdict, _ in prime_power_scan(2000, include_oracle=False):
@@ -114,6 +140,28 @@ class TestOracle:
     def test_q2_trivial_group(self):
         assert elementary_abelian_oracle(PrimePower(2, 1)) == FqVerdict(
             True, None, 0)
+
+    def test_mersenne_orders(self):
+        assert elementary_abelian_oracle(PrimePower(2, 13)) == FqVerdict(
+            True, 8191, 1)
+        assert elementary_abelian_oracle(PrimePower(2, 17)) == FqVerdict(
+            True, 131071, 1)
+        assert elementary_abelian_oracle(PrimePower(2, 18)) == FqVerdict(
+            False)
+
+    def test_walk_reduces_every_element(self, monkeypatch):
+        # one reduction a * p' mod (q - 1) per element of Z/(q - 1), not
+        # just the generator's
+        calls = []
+
+        def counting_mod(a, b):
+            calls.append(a)
+            return a % b
+
+        monkeypatch.setattr(finfield, "mod", counting_mod)
+        assert elementary_abelian_oracle(PrimePower(2, 13)) == FqVerdict(
+            True, 8191, 1)
+        assert calls == [a * 8191 for a in range(8191)]
 
     def test_bound_enforced(self):
         with pytest.raises(OutOfRange):
