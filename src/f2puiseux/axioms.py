@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import puiseux as px
-from .errors import DenominatorOverflow
+from .errors import DenominatorOverflow, _brief
 from .puiseux import (DEFAULT_DEN_CAP, L0Element, PuiseuxUnit, Rational,
                       elements_agree, units_agree)
 from .series import F2Series
@@ -84,22 +84,6 @@ def _grid_choices(aprec: Fraction):
         raise ValueError(
             f"no sample grid carries precision {_brief(aprec)}")
     return dens
-
-
-def _brief(x: Fraction) -> str:
-    """x as text, with any term of more than 40 digits given by its
-    digit count: an int of over 4300 digits cannot be printed."""
-    def term(n):
-        m = abs(n)
-        if m < 10 ** 40:
-            return str(n)
-        k = (m.bit_length() - 1) * 30102 // 100000 + 1  # <= digits of m
-        while 10 ** k <= m:
-            k += 1
-        return f"{'-' * (n < 0)}<{k} digits>"
-
-    top = term(x.numerator)
-    return top if x.denominator == 1 else f"{top}/{term(x.denominator)}"
 
 
 def random_unit(rng: random.Random, aprec) -> PuiseuxUnit:
@@ -241,8 +225,8 @@ def check_torsion_free(samples: int, n_max: int, aprec, seed: int, *,
     worst = 1 << (n_max.bit_length() - 1)  # the largest power of 2 <= n_max
     if Fraction(1, max(_grid_choices(aprec))) * worst >= aprec:
         raise ValueError(
-            f"aprec {aprec} cannot certify nontriviality of powers up "
-            f"to {n_max} on the sample grids")
+            f"aprec {_brief(aprec)} cannot certify nontriviality of "
+            f"powers up to {_brief(n_max)} on the sample grids")
     law = "powers-stay-off-identity"
 
     def draw(rng):

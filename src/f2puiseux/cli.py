@@ -39,6 +39,16 @@ def _positive(default: int) -> dict:
     return {"type": _positive_int, "default": default}
 
 
+class _Parser(argparse.ArgumentParser):
+    # the invalid-choice text of 3.10-3.13.0, which quote every choice;
+    # later argparse releases list them bare.  Subparsers inherit it
+    def _check_value(self, action, value):
+        if action.choices is not None and value not in action.choices:
+            choices = ", ".join(map(repr, action.choices))
+            raise argparse.ArgumentError(
+                action, f"invalid choice: {value!r} (choose from {choices})")
+
+
 # The command tables name every package function inside a lambda, so
 # the name is looked up in this module when the command runs and
 # anything that wraps it here sees the call.
@@ -214,7 +224,7 @@ def build_parser() -> argparse.ArgumentParser:
     # same everywhere; a test compares it with argparse's own on 3.10-3.12
     indent = " " * len("usage: f2puiseux ")
     commands = ",".join([*_ELEMENT_OPS, *_HARNESSES, "fq-scan"])
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="f2puiseux", parents=[common],
         usage=f"%(prog)s [-h] [--den-cap DEN_CAP] [--format {{text,records}}]"
               f"\n{indent}{{{commands}}}\n{indent}...",

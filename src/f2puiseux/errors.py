@@ -3,7 +3,31 @@
 Arithmetic errors signal domain violations (non-units, unsupported
 exponents) or resource bounds (denominator cap, scan bound).  Parse
 errors carry the character position at which the input was rejected.
+
+A message that prints a number prints it through _brief, which names
+a number of more than 40 digits by its digit count: exponents,
+precisions and grid denominators have no size bound, and an int of
+over 4300 digits cannot be printed at all, so a message that printed
+it would fail with Python's own conversion error instead of its type.
 """
+
+from fractions import Fraction
+
+
+def _brief(x: Fraction) -> str:
+    """x as text, with any term of more than 40 digits given by its
+    digit count: an int of over 4300 digits cannot be printed."""
+    def term(n):
+        m = abs(n)
+        if m < 10 ** 40:
+            return str(n)
+        k = (m.bit_length() - 1) * 30102 // 100000 + 1  # <= digits of m
+        while 10 ** k <= m:
+            k += 1
+        return f"{'-' * (n < 0)}<{k} digits>"
+
+    top = term(x.numerator)
+    return top if x.denominator == 1 else f"{top}/{term(x.denominator)}"
 
 
 class NotAUnit(ValueError):

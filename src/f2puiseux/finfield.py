@@ -32,7 +32,7 @@ from itertools import chain, compress, repeat
 from math import isqrt
 from operator import mod
 
-from .errors import OutOfRange
+from .errors import OutOfRange, _brief
 
 # primality is desk-scale by design; the scan bound keeps runs instant
 _DESK_LIMIT = 1 << 22
@@ -61,7 +61,8 @@ def is_prime(n: int) -> bool:
     if n < 2:
         return False
     if n > _DESK_LIMIT:
-        raise OutOfRange(f"primality of {n} is beyond the desk-scale limit")
+        raise OutOfRange(
+            f"primality of {_brief(n)} is beyond the desk-scale limit")
     _grow_sieve(n)
     return bool(_sieve[n])
 
@@ -113,9 +114,9 @@ class PrimePower:
 
     def __post_init__(self):
         if self.n < 1:
-            raise ValueError(f"exponent must be >= 1, got {self.n}")
+            raise ValueError(f"exponent must be >= 1, got {_brief(self.n)}")
         if not is_prime(self.p):
-            raise ValueError(f"{self.p} is not prime")
+            raise ValueError(f"{_brief(self.p)} is not prime")
         object.__setattr__(self, "q", self.p ** self.n if self.n > 1
                            else self.p)
 
@@ -123,7 +124,7 @@ class PrimePower:
     def from_q(cls, q: int) -> "PrimePower":
         """Factor q as p**n, rejecting anything else."""
         if q < 2:
-            raise ValueError(f"{q} is not a prime power")
+            raise ValueError(f"{_brief(q)} is not a prime power")
         p = _smallest_prime_factor(q)
         n = 0
         m = q
@@ -131,7 +132,7 @@ class PrimePower:
             m //= p
             n += 1
         if m != 1:
-            raise ValueError(f"{q} is not a prime power")
+            raise ValueError(f"{_brief(q)} is not a prime power")
         return cls(p, n)
 
 
@@ -201,7 +202,8 @@ def elementary_abelian_oracle(pp: PrimePower) -> FqVerdict:
     """
     q = pp.q
     if q > _DESK_LIMIT:
-        raise OutOfRange(f"q = {q} exceeds the oracle bound {_DESK_LIMIT}")
+        raise OutOfRange(
+            f"q = {_brief(q)} exceeds the oracle bound {_DESK_LIMIT}")
     order = q - 1
     if order == 1:
         return _TRIVIAL
@@ -226,7 +228,8 @@ def prime_power_scan(q_max: int, *, include_oracle: bool = True
     if q_max > _DESK_LIMIT:
         # checked before the sieve grows: it takes a byte per integer
         raise OutOfRange(
-            f"q_max = {q_max} exceeds the desk-scale limit {_DESK_LIMIT}")
+            f"q_max = {_brief(q_max)} exceeds the desk-scale limit "
+            f"{_DESK_LIMIT}")
     _grow_sieve(q_max)
     # the proper powers p**n (n >= 2) have p <= isqrt(q_max) and are
     # few; one merge puts them among the ascending primes

@@ -40,7 +40,7 @@ from typing import Iterable, Union
 
 from . import series
 from .bitops import bit_indices, compress, spread, support_gcd, trunc_bits
-from .errors import DenominatorOverflow, Indistinguishable, NotAUnit
+from .errors import DenominatorOverflow, Indistinguishable, NotAUnit, _brief
 from .series import F2Series
 
 #: Exact rational scalars and exponents.
@@ -54,7 +54,8 @@ DEFAULT_DEN_CAP = 1 << 16
 def _check_den(den: int, den_cap: int | None) -> None:
     if den_cap is not None and den > den_cap:
         raise DenominatorOverflow(
-            f"grid denominator {den} exceeds the cap {den_cap}")
+            f"grid denominator {_brief(den)} exceeds the cap "
+            f"{_brief(den_cap)}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -66,7 +67,7 @@ class PuiseuxUnit:
 
     def __post_init__(self):
         if self.den < 1:
-            raise ValueError(f"den must be >= 1, got {self.den}")
+            raise ValueError(f"den must be >= 1, got {_brief(self.den)}")
         if not self.body.is_unit():
             raise NotAUnit("unit part must have constant coefficient 1")
         # canonical representative: contract the grid by the common divisor
@@ -200,7 +201,7 @@ def unit_root(u: PuiseuxUnit, k: int, *,
     the precision, so the result is known modulo x**(aprec / 2**s).
     """
     if k < 1:
-        raise ValueError(f"root index must be >= 1, got {k}")
+        raise ValueError(f"root index must be >= 1, got {_brief(k)}")
     return _act(u, 1, k, den_cap)
 
 
@@ -268,7 +269,8 @@ def decompose_raw(exponents: Iterable[RationalLike], aprec: RationalLike, *,
         e = Fraction(e)
         if e >= aprec:
             raise ValueError(
-                f"term x^({e}) lies at or beyond the precision O(x^({aprec}))")
+                f"term x^({_brief(e)}) lies at or beyond the precision "
+                f"O(x^({_brief(aprec)}))")
         nums.append(e.numerator)
         dens.append(e.denominator)
     big, indices, prec = _grid(nums, dens, aprec.numerator, aprec.denominator)

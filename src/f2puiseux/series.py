@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 from .bitops import (bit_indices, clmul, compress, spread, support_gcd,
                      trunc_bits)
-from .errors import EvenK, NotAUnit, OddSupport
+from .errors import EvenK, NotAUnit, OddSupport, _brief
 
 
 @dataclass(frozen=True, eq=False)
@@ -43,7 +43,7 @@ class F2Series:
 
     def __post_init__(self):
         if self.prec < 1:
-            raise ValueError(f"prec must be >= 1, got {self.prec}")
+            raise ValueError(f"prec must be >= 1, got {_brief(self.prec)}")
         if self.coeffs < 0:
             raise ValueError("coefficient bits must be nonnegative")
         # canonical storage: construction truncates at prec
@@ -110,7 +110,7 @@ def sqrt(a: F2Series) -> F2Series:
 def kth_root_odd(a: F2Series, k: int) -> F2Series:
     """The unique k-th root with constant coefficient 1, for odd k >= 1."""
     if k < 1 or k % 2 == 0:
-        raise EvenK(f"k must be a positive odd integer, got {k}")
+        raise EvenK(f"k must be a positive odd integer, got {_brief(k)}")
     if not a.is_unit():
         raise NotAUnit("series has constant coefficient 0")
     return F2Series(_power(a.coeffs, 1, k, a.prec), a.prec)

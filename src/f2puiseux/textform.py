@@ -24,7 +24,9 @@ where its reduced form does; one pass checks that the indices increase
 and one comparison bounds them by the precision.  A body that fails any
 of this is walked one term at a time, and the first bad term raises its
 positioned error; an empty term outranks every other error.  The grid
-and the factoring are those of puiseux.decompose_raw.  Formatting
+and the factoring are those of puiseux.decompose_raw.  Outside the
+split every numeral is read by one reader, _numerals: the walk, the
+precision marker, the valuation factor and parse_rational.  Formatting
 renders bit j of a unit body on the grid 1/den as j/den, reduced by one
 gcd.  Fractions are built only for the valuation and for error texts.
 """
@@ -58,13 +60,18 @@ _TAIL = re.compile(rf"O\({_EXPONENT}\)\s*")
 _EMPTY_TERM = re.compile(r"\+\s*(?=\+|\Z)")
 
 
-def _numerals(m: re.Match, offset: int) -> tuple[int, int]:
+def _numerals(m: re.Match, offset: int,
+              zero: str = "zero denominator in exponent",
+              at: int | None = None) -> tuple[int, int]:
     """The numerator and denominator numerals of m, its last two groups,
-    as ints; a missing denominator is 1, and a zero one zeroes both."""
+    as ints, a missing denominator 1.  The denominator is converted
+    first: a zero one raises ElementSyntaxError(zero) at position at
+    (offset by default) before the numerator is converted."""
     num, den = m.groups()[-2:]
     try:
         den = 1 if den is None else int(den)
-        return (int(num) if den else 0), den
+        if den:
+            return int(num), den
     except ValueError:
         # int() refuses more digits than sys.get_int_max_str_digits();
         # blame the first numeral converted, the denominator first
@@ -75,6 +82,7 @@ def _numerals(m: re.Match, offset: int) -> tuple[int, int]:
         raise ElementSyntaxError(
             f"numeral of {digits} digits exceeds the limit of {limit} "
             "digits", offset + m.start(group)) from None
+    raise ElementSyntaxError(zero, offset if at is None else at)
 
 
 def parse_rational(text: str) -> Rational:
@@ -84,18 +92,8 @@ def parse_rational(text: str) -> Rational:
     if m is None:
         raise ElementSyntaxError(f"expected a rational number, got {text!r}",
                                  0)
-    num, den = _numerals(m, text.index(stripped))
-    if den == 0:
-        raise ElementSyntaxError("zero denominator", 0)
+    num, den = _numerals(m, text.index(stripped), "zero denominator", 0)
     return Fraction(num, den)
-
-
-def _exponent(m: re.Match, position: int) -> tuple[int, int]:
-    """The exponent of a matched term as a (num, den) pair, den > 0."""
-    pair = _numerals(m, position)
-    if pair[1] == 0:
-        raise ElementSyntaxError("zero denominator in exponent", position)
-    return pair
 
 
 def _walk(body: str, factored: bool, pn: int, pd: int):
@@ -114,7 +112,7 @@ def _walk(body: str, factored: bool, pn: int, pd: int):
             if m is None:
                 raise ElementSyntaxError(
                     f"expected '1' or 'x^(a/b)', got {text!r}", pos)
-            n, d = _exponent(m, pos)
+            n, d = _numerals(m, pos)
         if nums and n * dens[-1] <= nums[-1] * d:
             raise ExponentNotIncreasing(
                 f"exponent {Fraction(n, d)} does not increase past "
@@ -150,7 +148,7 @@ def _read(s: str):
         if tail is None:
             raise ElementSyntaxError("expected precision marker O(x^(P)), "
                                      f"got {o_text.rstrip()!r}", o_pos)
-        pn, pd = _exponent(tail, o_pos)
+        pn, pd = _numerals(tail, o_pos)
         val = None
         first = s.find("+")
         star = s.find("*", 0, first)  # -1 when there is no valuation factor
@@ -160,7 +158,7 @@ def _read(s: str):
             if mh is None:
                 raise ElementSyntaxError(
                     f"expected valuation factor 'x^(a/b)', got {head!r}", lead)
-            val = Fraction(*_exponent(mh, lead))
+            val = Fraction(*_numerals(mh, lead))
             one = s[star + 1:first].strip()
             if one != "1":
                 raise NonUnitLeadingTerm(

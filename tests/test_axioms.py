@@ -71,6 +71,14 @@ class TestTorsion:
         with pytest.raises(ValueError):
             check_torsion_free(5, 1, 64, seed=1)
 
+    def test_long_nmax_named_by_its_digit_count(self):
+        for n_max, brief in ((10 ** 5000, "<5001 digits>"),
+                             (10 ** 39, str(10 ** 39))):
+            with pytest.raises(ValueError, match=(
+                    f"^aprec 64 cannot certify nontriviality of powers up "
+                    f"to {brief} on the sample grids$")):
+                check_torsion_free(5, n_max, 64, seed=1)
+
 
 class TestBijectivity:
     def test_clean_run_passes(self):

@@ -14,6 +14,7 @@ import pytest
 from f2puiseux.cli import build_parser, main
 
 from argv_fuzz import broken_rule, draws
+from test_puiseux import LONG_GRID_ERROR, LONG_GRID_TEXT
 
 
 def run(capsys, *argv):
@@ -123,6 +124,15 @@ class TestErrorHandling:
         code, _, err = run(capsys, "--den-cap", "16", "scalar-mul", "1/64",
                            "1 + x^(1) + O(x^(2))")
         assert code == 1 and "DenominatorOverflow" in err
+
+    def test_long_grid_denominator_is_one_line(self, capsys):
+        error = f"DenominatorOverflow: {LONG_GRID_ERROR}"
+        assert run(capsys, "decompose", LONG_GRID_TEXT) == (
+            1, "", f"decompose: {error}\n")
+        code, records, err = run_records(capsys, "decompose", LONG_GRID_TEXT)
+        assert (code, err) == (1, "")
+        assert records == [{"op": "decompose", "input": [LONG_GRID_TEXT],
+                            "error": error}]
 
     def test_root_index_validated(self, capsys):
         with pytest.raises(SystemExit) as info:

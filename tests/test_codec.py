@@ -24,6 +24,7 @@ from f2puiseux.bitops import support_gcd
 from f2puiseux.textform import parse_rational
 from oracles import (reference_decompose_raw, reference_format_unit,
                      reference_parse_element)
+from test_puiseux import LONG_GRID_ERROR, LONG_GRID_TEXT
 from test_textform import token_text
 
 DENS = (1, 2, 3, 4, 6, 8, 12)
@@ -278,6 +279,22 @@ class TestLongNumerals:
         with pytest.raises(ElementSyntaxError, match="zero denominator"):
             parse_element("1 + x^(" + "1" * 5000 + "/0) + O(x^(2))")
 
+    @pytest.mark.parametrize("template,position,message", [
+        ("1 + x^({}/0) + O(x^(2))", 4, "zero denominator in exponent"),
+        ("1 + x^(1) + O(x^({}/0))", 12, "zero denominator in exponent"),
+        ("  x^({}/0) * 1 + O(x^(2))", 2, "zero denominator in exponent")])
+    def test_zero_denominator_at_the_term(self, template, position, message):
+        # a zero denominator is found before the numerator is converted
+        with pytest.raises(ElementSyntaxError) as info:
+            parse_element(template.format("1" * (self.LIMIT + 700)))
+        assert str(info.value) == f"{message} (at position {position})"
+
+    def test_long_grid_denominator_named_by_its_digit_count(self):
+        # the grid denominator, not a numeral, passes str()'s limit
+        with pytest.raises(DenominatorOverflow,
+                           match=f"^{LONG_GRID_ERROR}$"):
+            parse_element(LONG_GRID_TEXT)
+
     def test_at_the_limit_parses(self):
         n = "1" * self.LIMIT
         with pytest.raises(DenominatorOverflow):
@@ -289,6 +306,13 @@ class TestLongNumerals:
         with pytest.raises(ElementSyntaxError) as info:
             parse_rational(text.format("1" * 5000))
         assert info.value.position == offset
+
+    @pytest.mark.parametrize("text", ["{}/0", "  {}/0", " -{}/0 "])
+    def test_rational_zero_denominator(self, text):
+        # blamed at position 0 whatever the blanks before it
+        with pytest.raises(ElementSyntaxError) as info:
+            parse_rational(text.format("1" * 5000))
+        assert str(info.value) == "zero denominator (at position 0)"
 
 
 # ---------------------------------------------------------------------------

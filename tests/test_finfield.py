@@ -50,6 +50,42 @@ class TestPrimePower:
         with pytest.raises(ValueError):
             PrimePower.from_q(1)
 
+    def test_long_numbers_named_by_their_digit_count(self):
+        # str() of an int of over 4300 digits raises, so each message
+        # counts the digits of a long number instead of printing it
+        for call, error, message in (
+                (lambda: PrimePower.from_q(3 * 10 ** 5000), ValueError,
+                 "<5001 digits> is not a prime power"),
+                (lambda: PrimePower.from_q(-10 ** 5000), ValueError,
+                 "-<5001 digits> is not a prime power"),
+                (lambda: PrimePower(2, -10 ** 5000), ValueError,
+                 "exponent must be >= 1, got -<5001 digits>"),
+                (lambda: PrimePower(10 ** 5000 + 1, 1), OutOfRange,
+                 "primality of <5001 digits> is beyond the desk-scale "
+                 "limit"),
+                (lambda: finfield.is_prime(10 ** 5000 + 1), OutOfRange,
+                 "primality of <5001 digits> is beyond the desk-scale "
+                 "limit"),
+                (lambda: prime_power_scan(10 ** 5000), OutOfRange,
+                 f"q_max = <5001 digits> exceeds the desk-scale limit "
+                 f"{finfield._DESK_LIMIT}"),
+                (lambda: elementary_abelian_oracle(PrimePower(2, 20000)),
+                 OutOfRange, f"q = <6021 digits> exceeds the oracle bound "
+                             f"{finfield._DESK_LIMIT}")):
+            with pytest.raises(error) as info:
+                call()
+            assert type(info.value) is error
+            assert str(info.value) == message
+
+    def test_short_numbers_keep_their_text(self):
+        with pytest.raises(ValueError, match="^12 is not a prime power$"):
+            PrimePower.from_q(12)
+        with pytest.raises(ValueError, match="^4 is not prime$"):
+            PrimePower(4, 1)
+        with pytest.raises(OutOfRange,
+                           match=f"^primality of {10 ** 39 + 1} is beyond"):
+            finfield.is_prime(10 ** 39 + 1)
+
     def test_from_q_beyond_trial_division(self):
         # an even q needs no trial division; 2^61 - 1 is a prime whose
         # square root passes the desk-scale limit

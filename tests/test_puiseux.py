@@ -21,6 +21,14 @@ from oracles import (coordinate_power, coordinates_match,
 from test_series import comb_switch
 
 
+# 60 exponents i + 1/d, d = 10**80 + i: their grid denominator, the lcm
+# of the d, has 4735 digits, more than str() can print
+LONG_GRID = [Q(i * (10 ** 80 + i) + 1, 10 ** 80 + i) for i in range(1, 61)]
+LONG_GRID_TEXT = " + ".join(["1", *(f"x^({e})" for e in LONG_GRID),
+                             "O(x^(62))"])
+LONG_GRID_ERROR = "grid denominator <4735 digits> exceeds the cap 65536"
+
+
 def U(den, bits, prec):
     return PuiseuxUnit(den, F2Series(bits, prec))
 
@@ -72,6 +80,27 @@ class TestNormalization:
             assert regridded.den == u.den  # normalization undoes the lift
             assert regridded.body.coeffs == u.body.coeffs
             assert units_agree(regridded, u)
+
+
+class TestLongNumbersInMessages:
+    """A number of more than 40 digits is named by its digit count."""
+
+    def test_den(self):
+        with pytest.raises(ValueError,
+                           match="^den must be >= 1, got -<5001 digits>$"):
+            U(-10 ** 5000, 1, 1)
+        with pytest.raises(ValueError, match="^den must be >= 1, got 0$"):
+            U(0, 1, 1)
+
+    def test_cap(self):
+        with pytest.raises(DenominatorOverflow,
+                           match="^grid denominator <5002 digits> exceeds "
+                                 "the cap <5001 digits>$"):
+            unit_sqrt(U(10 ** 5001, 0b11, 2), den_cap=10 ** 5000)
+        with pytest.raises(DenominatorOverflow,
+                           match=f"^grid denominator {2 * 10 ** 39} exceeds "
+                                 f"the cap {10 ** 39}$"):
+            unit_sqrt(U(10 ** 39, 0b11, 2), den_cap=10 ** 39)
 
 
 class TestUnitMul:
@@ -211,6 +240,12 @@ class TestUnitRoot:
             unit_root(U(3, 0b101, 4), k)
         assert type(info.value) is ValueError
         assert str(info.value) == f"root index must be >= 1, got {k}"
+
+    def test_long_index_named_by_its_digit_count(self):
+        with pytest.raises(ValueError,
+                           match="^root index must be >= 1, got "
+                                 "-<5001 digits>$"):
+            unit_root(U(3, 0b101, 4), -10 ** 5000)
 
     def test_cube_root(self):
         out = unit_root(U(1, 0b11, 3), 3)
@@ -573,6 +608,22 @@ class TestDecomposeRaw:
     def test_cap_enforced(self):
         with pytest.raises(DenominatorOverflow):
             decompose_raw([0, Q(1, 97)], 1, den_cap=50)
+
+    def test_long_grid_denominator_named_by_its_digit_count(self):
+        with pytest.raises(DenominatorOverflow,
+                           match=f"^{LONG_GRID_ERROR}$"):
+            decompose_raw([0, *LONG_GRID], 62)
+
+    def test_long_term_named_by_its_digit_count(self):
+        with pytest.raises(ValueError) as info:
+            decompose_raw([10 ** 5000], 10 ** 5000)
+        assert type(info.value) is ValueError
+        assert str(info.value) == ("term x^(<5001 digits>) lies at or "
+                                   "beyond the precision O(x^(<5001 digits>))")
+        with pytest.raises(ValueError, match=(
+                r"^term x\^\(1/3\) lies at or beyond the precision "
+                r"O\(x\^\(1/4\)\)$")):
+            decompose_raw([Q(1, 3)], Q(1, 4))
 
 
 class TestDeepPrecision:

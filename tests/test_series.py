@@ -42,6 +42,13 @@ class TestConstruction:
         with pytest.raises(ValueError):
             S(-1, 4)
 
+    def test_long_prec_named_by_its_digit_count(self):
+        with pytest.raises(ValueError,
+                           match="^prec must be >= 1, got -<5001 digits>$"):
+            S(1, -10 ** 5000)
+        with pytest.raises(ValueError, match="^prec must be >= 1, got 0$"):
+            S(1, 0)
+
     def test_construction_truncates(self):
         assert S(0b10111, 3).coeffs == 0b111
 
@@ -585,6 +592,9 @@ class TestKthRoot:
     def test_even_k_rejected(self):
         with pytest.raises(EvenK):
             kth_root_odd(S(1, 4), 2)
+        with pytest.raises(EvenK, match="^k must be a positive odd integer, "
+                                        "got <5001 digits>$"):
+            kth_root_odd(S(1, 4), 10 ** 5000)
 
     def test_nonunit_rejected(self):
         with pytest.raises(NotAUnit):
