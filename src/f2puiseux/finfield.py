@@ -15,22 +15,29 @@ deliberately avoiding the "q - 1 is prime" shortcut so the scan can
 confront the two.  Primality of Mersenne candidates is likewise
 checked twice, by trial division and by the Lucas-Lehmer sequence.
 
-`prime_power_scan` walks the primes of one sieve in ascending order
-and merges in the few proper powers p**n (n >= 2, so p <= sqrt(q_max)).
-Its rows are built without the constructor's primality check, since p
-comes off the sieve and the merge already knows q.  Both routes return
-the "no" and the trivial answer as shared frozen values, and the
-oracle reduces every element of the cyclic group in one C-level `map`,
-so a row costs little beyond its two verdicts.  Trial division tries
-no divisor above the desk-scale limit and raises OutOfRange instead.
+`prime_power_scan` takes the rows of the primes from a store kept
+for the life of the process, ascending by q: a scan extends it only
+past the largest q any scan has reached, and otherwise takes a prefix.
+Only the few proper powers p**n (n >= 2, so p <= sqrt(q_max)) are built
+per scan and merged in by q.  Rows are built without the constructor's
+primality check, since p comes off the sieve and the merge already
+knows q; they are frozen, so scans share them as safely as both routes
+share the "no" and the trivial answer.  Both routes still run on every
+row of every scan.  The oracle splits the power of 2 off an even
+q - 1 by its lowest set bit and reduces every element of the cyclic
+group in one C-level `map`, so a row costs little beyond its two
+verdicts.  Trial division tries no divisor above the desk-scale limit
+and raises OutOfRange instead.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, field
-from itertools import chain, compress, repeat
+from itertools import compress, repeat
 from math import isqrt
-from operator import mod
+from operator import attrgetter, mod
+from threading import Lock
 
 from .errors import OutOfRange, _brief
 
@@ -38,20 +45,32 @@ from .errors import OutOfRange, _brief
 _DESK_LIMIT = 1 << 22
 
 _sieve = bytearray(b"\x00\x00\x01\x01")  # primality table, index <= len-1
+# rows p**1 of every prime up to the last one's q, ascending; only
+# prime_power_scan grows it
+_prime_rows: list[PrimePower] = []
+# one grower at a time, so neither table is replaced by a smaller one;
+# readers take whichever is bound, as each is published by one rebinding
+_growing = Lock()
+_q = attrgetter("q")
 
 
 def _grow_sieve(limit: int) -> None:
     global _sieve
     if limit < len(_sieve):
         return
-    # never past the desk limit, so any index below len(_sieve) is in range
-    size = min(max(limit + 1, 2 * len(_sieve), 1 << 11), _DESK_LIMIT + 1)
-    table = bytearray(b"\x01") * size
-    table[0:2] = b"\x00\x00"
-    for i in range(2, isqrt(size - 1) + 1):
-        if table[i]:
-            table[i * i::i] = bytearray(len(range(i * i, size, i)))
-    _sieve = table
+    with _growing:
+        if limit < len(_sieve):
+            return
+        # never past the desk limit, so any index below len(_sieve) is
+        # in range
+        size = min(max(limit + 1, 2 * len(_sieve), 1 << 11),
+                   _DESK_LIMIT + 1)
+        table = bytearray(b"\x01") * size
+        table[0:2] = b"\x00\x00"
+        for i in range(2, isqrt(size - 1) + 1):
+            if table[i]:
+                table[i * i::i] = bytearray(len(range(i * i, size, i)))
+        _sieve = table
 
 
 def is_prime(n: int) -> bool:
@@ -207,11 +226,16 @@ def elementary_abelian_oracle(pp: PrimePower) -> FqVerdict:
     order = q - 1
     if order == 1:
         return _TRIVIAL
-    p2 = _smallest_prime_factor(order)
-    m, rest = 0, order
-    while rest % p2 == 0:
-        rest //= p2
-        m += 1
+    if order & 1:
+        p2 = _smallest_prime_factor(order)
+        m, rest = 0, order
+        while rest % p2 == 0:
+            rest //= p2
+            m += 1
+    else:
+        # 2**m divides the order exactly, m from its lowest set bit
+        p2, m = 2, (order & -order).bit_length() - 1
+        rest = order >> m
     if rest != 1:
         return _NO  # two distinct primes divide the order
     # a * p' mod (q - 1) for every element a, in C
@@ -230,20 +254,43 @@ def prime_power_scan(q_max: int, *, include_oracle: bool = True
         raise OutOfRange(
             f"q_max = {_brief(q_max)} exceeds the desk-scale limit "
             f"{_DESK_LIMIT}")
-    _grow_sieve(q_max)
+    primes = _prime_rows_to(q_max)
     # the proper powers p**n (n >= 2) have p <= isqrt(q_max) and are
-    # few; one merge puts them among the ascending primes
-    powers = {}
-    for p in compress(range(isqrt(q_max) + 1), _sieve):
+    # few; each goes in after the primes below it
+    powers = []
+    for p in map(_q, primes[:bisect_right(primes, isqrt(q_max), key=_q)]):
         q, n = p * p, 2
         while q <= q_max:
-            powers[q] = (p, n)
+            powers.append(_row(p, n, q))
             q *= p
             n += 1
-    out = []
-    for q in sorted(chain(compress(range(q_max + 1), _sieve), powers)):
-        pp = _row(*powers[q], q) if q in powers else _row(q, 1, q)
-        verdict = linear_space_verdict(pp)
-        oracle = elementary_abelian_oracle(pp) if include_oracle else None
-        out.append((pp, verdict, oracle))
-    return out
+    powers.sort(key=_q)
+    rows, start = [], 0
+    for pp in powers:
+        end = bisect_right(primes, pp.q, start, key=_q)
+        rows += primes[start:end]
+        rows.append(pp)
+        start = end
+    rows += primes[start:bisect_right(primes, q_max, start, key=_q)]
+    if include_oracle:
+        return [(pp, linear_space_verdict(pp), elementary_abelian_oracle(pp))
+                for pp in rows]
+    return [(pp, linear_space_verdict(pp), None) for pp in rows]
+
+
+def _prime_rows_to(q_max: int) -> list[PrimePower]:
+    """The store of prime rows, grown first to every prime <= q_max if
+    it stops short."""
+    global _prime_rows
+    rows = _prime_rows
+    if not rows or rows[-1].q < q_max:
+        _grow_sieve(q_max)
+        with _growing:
+            rows = _prime_rows
+            top = rows[-1].q + 1 if rows else 2
+            if top <= q_max:
+                new = compress(range(top, q_max + 1),
+                               memoryview(_sieve)[top:q_max + 1])
+                rows = [*rows, *(_row(p, 1, p) for p in new)]
+                _prime_rows = rows
+    return rows

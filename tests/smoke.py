@@ -237,9 +237,11 @@ def row(pp):
 def census():
     # scans with and without the oracle against the reference, the
     # scan's rows against constructed ones, and the oracle's walk over
-    # the 8191 and 131071 elements of two Mersenne orders
+    # the 8191 and 131071 elements of two Mersenne orders; the
+    # descending scans take prefixes of the stored prime rows
     scans = [(q_max, include_oracle)
-             for q_max in (2, 3, 4, 8191, 8192, 8193)
+             for q_max in (2, 3, 4, 8191, 8192, 8193,
+                           8193, 8192, 8191, 4, 3, 2)
              for include_oracle in (True, False)]
     bad = []
     for q_max, include_oracle in scans:

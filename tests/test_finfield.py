@@ -1,3 +1,5 @@
+import threading
+
 import pytest
 
 from oracles import reference_prime_power_scan
@@ -234,11 +236,13 @@ class TestScan:
 
     def test_qmax_above_desk_limit_rejected_before_sieve_grows(self):
         size = len(finfield._sieve)
+        stored = finfield._prime_rows
         with pytest.raises(OutOfRange):
             prime_power_scan(10_000_000_000)
         with pytest.raises(OutOfRange):
             prime_power_scan(finfield._DESK_LIMIT + 1, include_oracle=False)
         assert len(finfield._sieve) == size
+        assert finfield._prime_rows is stored
 
 
 class TestSieveCap:
@@ -265,12 +269,14 @@ class TestScanAgainstReference:
     """The scan walks the sieve's primes, merges in the proper powers and
     shares verdict values; the reference factors every integer in turn
     and builds each row afresh.  Each test starts from the smallest
-    sieve, so the scans also grow it on the way."""
+    sieve and an empty row store, so the scans also grow both on the
+    way."""
 
     @pytest.fixture(autouse=True)
     def fresh_sieve(self, monkeypatch):
         monkeypatch.setattr(finfield, "_sieve",
                             bytearray(b"\x00\x00\x01\x01"))
+        monkeypatch.setattr(finfield, "_prime_rows", [])
 
     @pytest.mark.parametrize("include_oracle", [True, False])
     def test_matches_reference(self, include_oracle):
@@ -289,3 +295,84 @@ class TestScanAgainstReference:
         trivial = {id(v) for v in answers if v.dim == 0}
         assert len(no) == 1 and len(trivial) == 1
         assert sum(not v.is_space for v in answers) > 1000
+
+
+def primes_to(limit):
+    return [q for q in range(2, limit + 1) if trial_division_prime(q)]
+
+
+def row(pp):
+    return pp.p, pp.n, pp.q, hash(pp), repr(pp)
+
+
+class TestPrimeRowStore:
+    """Scans share the rows of the primes through one store that only
+    scans grow; each test starts from an empty store."""
+
+    @pytest.fixture(autouse=True)
+    def empty_store(self, monkeypatch):
+        monkeypatch.setattr(finfield, "_prime_rows", [])
+
+    def test_scans_in_any_order_match_reference(self):
+        # grown, then prefixes at the bottom and the middle, then grown
+        # again past a power of 2, then a prefix that ends on a prime
+        for q_max in (20000, 2, 3, 4, 5000, 32769, 8191):
+            for include_oracle in (True, False):
+                rows = prime_power_scan(q_max, include_oracle=include_oracle)
+                assert rows == reference_prime_power_scan(
+                    q_max, include_oracle=include_oracle), q_max
+                for pp, _, _ in rows:
+                    assert row(pp) == row(PrimePower(pp.p, pp.n)), pp
+        assert [pp.q for pp in finfield._prime_rows] == primes_to(32769)
+        assert all(pp.n == 1 for pp in finfield._prime_rows)
+
+    def test_sieve_growth_adds_no_rows(self, monkeypatch):
+        monkeypatch.setattr(finfield, "_sieve",
+                            bytearray(b"\x00\x00\x01\x01"))
+        assert finfield.is_prime(4_000_037)
+        assert PrimePower(4_000_037, 1).q == 4_000_037
+        assert len(finfield._sieve) > 4_000_037
+        assert finfield._prime_rows == []
+
+    def test_concurrent_scans_from_an_empty_store(self, monkeypatch):
+        monkeypatch.setattr(finfield, "_sieve",
+                            bytearray(b"\x00\x00\x01\x01"))
+        results = {}
+
+        def scan(q_max):
+            results[q_max] = prime_power_scan(q_max)
+
+        threads = [threading.Thread(target=scan, args=(q_max,))
+                   for q_max in (30000, 70000)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join()
+        for q_max in (30000, 70000):
+            assert results[q_max] == reference_prime_power_scan(q_max)
+        # a smaller store never replaces a larger one
+        assert [pp.q for pp in finfield._prime_rows] == primes_to(70000)
+
+
+class TestOracleBitSplit:
+    """An even q - 1 loses its power of 2 by its lowest set bit; an odd
+    one is still factored by trial division."""
+
+    def test_matches_reference_to_2_16(self):
+        for pp, _, want in reference_prime_power_scan(1 << 16):
+            assert elementary_abelian_oracle(pp) == want, pp.q
+
+    @pytest.mark.parametrize("q", [3, 5, 17, 257, 65537])
+    def test_order_a_power_of_2(self, q, monkeypatch):
+        # q - 1 = 2**m: the walk runs with p' = 2 and stops at the first
+        # element whose order does not divide 2, unless the group is Z/2
+        calls = []
+
+        def counting_mod(a, b):
+            calls.append(a)
+            return a % b
+
+        monkeypatch.setattr(finfield, "mod", counting_mod)
+        want = FqVerdict(True, 2, 1) if q == 3 else FqVerdict(False)
+        assert elementary_abelian_oracle(PrimePower(q, 1)) == want
+        assert calls == [0, 2]
