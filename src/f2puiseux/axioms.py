@@ -24,10 +24,10 @@ confirm that the corresponding law reports a counterexample.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 
 from . import puiseux as px
+from ._value import Value
 from .errors import DenominatorOverflow, _brief
 from .puiseux import (DEFAULT_DEN_CAP, L0Element, PuiseuxUnit, Rational,
                       elements_agree, units_agree)
@@ -37,31 +37,65 @@ from .series import F2Series
 SAMPLE_DENS = (1, 2, 3, 4, 6, 8, 12)
 
 
-@dataclass(frozen=True)
-class AxiomCheck:
+class AxiomCheck(Value):
     """Outcome of one law across all samples."""
 
-    name: str
-    checked: int
-    failures: int
-    first_counterexample: str | None
+    __slots__ = __match_args__ = ("name", "checked", "failures",
+                                  "first_counterexample")
+
+    def __init__(self, name: str, checked: int, failures: int,
+                 first_counterexample: str | None):
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "checked", checked)
+        object.__setattr__(self, "failures", failures)
+        object.__setattr__(self, "first_counterexample",
+                           first_counterexample)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return ((self.name, self.checked, self.failures,
+                 self.first_counterexample)
+                == (other.name, other.checked, other.failures,
+                    other.first_counterexample))
+
+    def __hash__(self):
+        return hash((self.name, self.checked, self.failures,
+                     self.first_counterexample))
 
     @property
     def passed(self) -> bool:
         return self.failures == 0
 
 
-@dataclass(frozen=True)
-class AxiomReport:
+class AxiomReport(Value):
     """Outcome of a harness run; fully determined by (seed, parameters)."""
 
-    kind: str
-    seed: int
-    samples: int
-    aprec: Rational
-    params: tuple[tuple[str, int], ...]
-    skipped: int
-    checks: tuple[AxiomCheck, ...]
+    __slots__ = __match_args__ = ("kind", "seed", "samples", "aprec",
+                                  "params", "skipped", "checks")
+
+    def __init__(self, kind: str, seed: int, samples: int, aprec: Rational,
+                 params: tuple[tuple[str, int], ...], skipped: int,
+                 checks: tuple[AxiomCheck, ...]):
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "seed", seed)
+        object.__setattr__(self, "samples", samples)
+        object.__setattr__(self, "aprec", aprec)
+        object.__setattr__(self, "params", params)
+        object.__setattr__(self, "skipped", skipped)
+        object.__setattr__(self, "checks", checks)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return ((self.kind, self.seed, self.samples, self.aprec, self.params,
+                 self.skipped, self.checks)
+                == (other.kind, other.seed, other.samples, other.aprec,
+                    other.params, other.skipped, other.checks))
+
+    def __hash__(self):
+        return hash((self.kind, self.seed, self.samples, self.aprec,
+                     self.params, self.skipped, self.checks))
 
     @property
     def failures(self) -> int:

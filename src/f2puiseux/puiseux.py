@@ -31,7 +31,6 @@ Values are immutable and every operation is a pure function.
 from __future__ import annotations
 
 from collections import Counter, deque
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import repeat
 from math import gcd, lcm
@@ -39,6 +38,7 @@ from operator import floordiv, mul, sub
 from typing import Iterable, Union
 
 from . import series
+from ._value import Value
 from .bitops import bit_indices, compress, spread, support_gcd, trunc_bits
 from .errors import DenominatorOverflow, Indistinguishable, NotAUnit, _brief
 from .series import F2Series
@@ -58,13 +58,18 @@ def _check_den(den: int, den_cap: int | None) -> None:
             f"{_brief(den_cap)}")
 
 
-@dataclass(frozen=True, eq=False)
-class PuiseuxUnit:
+class PuiseuxUnit(Value):
     """Residue-1 unit on the grid (1/den)*Z; always stored normalized."""
 
-    den: int
-    body: F2Series
+    __slots__ = __match_args__ = ("den", "body")
 
+    def __init__(self, den: int, body: F2Series):
+        object.__setattr__(self, "den", den)
+        object.__setattr__(self, "body", body)
+        self.__post_init__()
+
+    # the check and normalization stay one method, under the name that
+    # perfbench/spans.py traces
     def __post_init__(self):
         if self.den < 1:
             raise ValueError(f"den must be >= 1, got {_brief(self.den)}")
@@ -212,15 +217,14 @@ def scalar_mul_unit(r: RationalLike, u: PuiseuxUnit, *,
     return _act(u, r.numerator, r.denominator, den_cap)
 
 
-@dataclass(frozen=True, eq=False)
-class L0Element:
+class L0Element(Value):
     """x**val times a residue-1 unit; the canonical factored form."""
 
-    val: Rational
-    unit: PuiseuxUnit
+    __slots__ = __match_args__ = ("val", "unit")
 
-    def __post_init__(self):
-        object.__setattr__(self, "val", Fraction(self.val))
+    def __init__(self, val: RationalLike, unit: PuiseuxUnit):
+        object.__setattr__(self, "val", Fraction(val))
+        object.__setattr__(self, "unit", unit)
 
     @classmethod
     def one(cls, prec: int = 1) -> "L0Element":

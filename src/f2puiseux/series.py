@@ -27,27 +27,25 @@ and a unit product across two grids.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
+from ._value import Value
 from .bitops import (bit_indices, clmul, compress, spread, support_gcd,
                      trunc_bits)
 from .errors import EvenK, NotAUnit, OddSupport, _brief
 
 
-@dataclass(frozen=True, eq=False)
-class F2Series:
+class F2Series(Value):
     """Bit-packed series over GF(2), known modulo t**prec."""
 
-    coeffs: int
-    prec: int
+    __slots__ = __match_args__ = ("coeffs", "prec")
 
-    def __post_init__(self):
-        if self.prec < 1:
-            raise ValueError(f"prec must be >= 1, got {_brief(self.prec)}")
-        if self.coeffs < 0:
+    def __init__(self, coeffs: int, prec: int):
+        if prec < 1:
+            raise ValueError(f"prec must be >= 1, got {_brief(prec)}")
+        if coeffs < 0:
             raise ValueError("coefficient bits must be nonnegative")
         # canonical storage: construction truncates at prec
-        object.__setattr__(self, "coeffs", trunc_bits(self.coeffs, self.prec))
+        object.__setattr__(self, "coeffs", trunc_bits(coeffs, prec))
+        object.__setattr__(self, "prec", prec)
 
     @classmethod
     def one(cls, prec: int) -> "F2Series":

@@ -19,7 +19,8 @@ from the public constructor, and the oracle at q = 2**13, 2**17 and
 2**18.  It also runs the first 200 seeded command lines of
 tests/argv_fuzz.py, which the Tier-1 suite runs 1000 of, and checks
 that each ends in output, one diagnostic or a usage error, never a
-traceback.
+traceback, and that importing the command loads neither `dataclasses`
+nor `inspect`.
 It prints one line per part and exits 1 if any part fails.  pytest
 does not collect this file; the Tier-1 suite covers the same ground
 where pytest is installed.
@@ -231,7 +232,8 @@ def reader():
 
 
 def row(pp):
-    return pp, hash(pp), repr(pp), vars(pp)
+    # every slot: a slotted row holds no other attribute
+    return pp, hash(pp), repr(pp), type(pp), pp.p, pp.n, pp.q
 
 
 def census():
@@ -257,6 +259,21 @@ def census():
     return len(scans) + len(answers), bad
 
 
+def footprint():
+    # importing the command leaves these modules out; -S keeps site
+    # hooks out of the count
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    unwanted = ("dataclasses", "inspect")
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", "import sys, f2puiseux.cli; "
+         f"print(*(m for m in {unwanted!r} if m in sys.modules))"],
+        capture_output=True, text=True, env=env, timeout=60)
+    loaded = proc.stdout.split() if proc.returncode == 0 else unwanted
+    return len(unwanted), [m for m in unwanted if m in loaded]
+
+
 def argv_fuzz():
     argvs = draws(1, 200)
     return len(argvs), [argv for argv in argvs if broken_rule(argv)]
@@ -273,7 +290,9 @@ if __name__ == "__main__":
                         reader),
                        ("field scan against the reference scan", census),
                        ("seeded command lines without a traceback",
-                        argv_fuzz)):
+                        argv_fuzz),
+                       ("import without dataclasses or inspect",
+                        footprint)):
         total, bad = part()
         failed |= bool(bad)
         print(f"{name}: {total - len(bad)} of {total} pass"

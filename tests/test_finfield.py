@@ -38,11 +38,13 @@ class TestPrimePower:
 
     def test_scan_rows_hold_q(self):
         # the scan builds its rows without the constructor's checks; each
-        # still equals the constructed row, q = p ** n included
+        # still equals the constructed row, q = p ** n included; a
+        # slotted row holds no attribute beyond its type's slots
         for pp, _, _ in prime_power_scan(5000, include_oracle=False):
             built = PrimePower(pp.p, pp.n)
             assert pp == built and hash(pp) == hash(built)
-            assert repr(pp) == repr(built) and vars(pp) == vars(built)
+            assert repr(pp) == repr(built) and type(pp) is type(built)
+            assert (pp.p, pp.n, pp.q) == (built.p, built.n, built.q)
 
     def test_from_q(self):
         assert PrimePower.from_q(243) == PrimePower(3, 5)
