@@ -51,18 +51,6 @@ class AxiomCheck(Value):
         object.__setattr__(self, "first_counterexample",
                            first_counterexample)
 
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return ((self.name, self.checked, self.failures,
-                 self.first_counterexample)
-                == (other.name, other.checked, other.failures,
-                    other.first_counterexample))
-
-    def __hash__(self):
-        return hash((self.name, self.checked, self.failures,
-                     self.first_counterexample))
-
     @property
     def passed(self) -> bool:
         return self.failures == 0
@@ -84,18 +72,6 @@ class AxiomReport(Value):
         object.__setattr__(self, "params", params)
         object.__setattr__(self, "skipped", skipped)
         object.__setattr__(self, "checks", checks)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return ((self.kind, self.seed, self.samples, self.aprec, self.params,
-                 self.skipped, self.checks)
-                == (other.kind, other.seed, other.samples, other.aprec,
-                    other.params, other.skipped, other.checks))
-
-    def __hash__(self):
-        return hash((self.kind, self.seed, self.samples, self.aprec,
-                     self.params, self.skipped, self.checks))
 
     @property
     def failures(self) -> int:

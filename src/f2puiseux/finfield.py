@@ -141,14 +141,6 @@ class PrimePower(Value):
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "q", p ** n if n > 1 else p)
 
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.p, self.n) == (other.p, other.n)
-
-    def __hash__(self):
-        return hash((self.p, self.n))
-
     @classmethod
     def from_q(cls, q: int) -> "PrimePower":
         """Factor q as p**n, rejecting anything else."""
@@ -190,15 +182,6 @@ class FqVerdict(Value):
         object.__setattr__(self, "is_space", is_space)
         object.__setattr__(self, "scalar_order", scalar_order)
         object.__setattr__(self, "dim", dim)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return ((self.is_space, self.scalar_order, self.dim)
-                == (other.is_space, other.scalar_order, other.dim))
-
-    def __hash__(self):
-        return hash((self.is_space, self.scalar_order, self.dim))
 
 
 # frozen, so every route returns these two answers as shared values

@@ -158,11 +158,12 @@ def unit_sqrt(u: PuiseuxUnit, *,
               den_cap: int | None = DEFAULT_DEN_CAP) -> PuiseuxUnit:
     """The square root: same coefficients on a twice-finer grid.
 
-    Always defined; the precision halves.
+    Always defined; the precision halves.  The cap applies to the grid
+    of the normalized result, which may be coarser than 2 * u.den.
     """
-    d = 2 * u.den
-    _check_den(d, den_cap)
-    return PuiseuxUnit(d, u.body)
+    r = PuiseuxUnit(2 * u.den, u.body)
+    _check_den(r.den, den_cap)
+    return r
 
 
 def _act(u: PuiseuxUnit, p: int, q: int, den_cap: int | None) -> PuiseuxUnit:

@@ -118,7 +118,7 @@ def schoolbook_inverse(a: F2Series) -> F2Series:
 def reference_scalar_mul_unit(r, u: PuiseuxUnit, *,
                               den_cap=1 << 16) -> PuiseuxUnit:
     """(u**p)**(1/q) as the composition of the coefficient-at-a-time
-    references, with the cap checked at each grid doubling."""
+    references, with the cap checked on the grid of each square root."""
     r = Fraction(r)
     p, q = r.numerator, r.denominator
     base = schoolbook_inverse(u.body) if p < 0 else u.body
@@ -130,10 +130,10 @@ def reference_scalar_mul_unit(r, u: PuiseuxUnit, *,
     w = PuiseuxUnit(w.den, F2Series(
         coordinate_power(w.body.coeffs, 1, q >> s, w.body.prec), w.body.prec))
     for _ in range(s):
-        if den_cap is not None and 2 * w.den > den_cap:
-            raise DenominatorOverflow(
-                f"grid denominator {2 * w.den} exceeds the cap {den_cap}")
         w = PuiseuxUnit(2 * w.den, w.body)
+        if den_cap is not None and w.den > den_cap:
+            raise DenominatorOverflow(
+                f"grid denominator {w.den} exceeds the cap {den_cap}")
     return w
 
 

@@ -16,19 +16,23 @@ well-formed, with each defect of the benchmark's malformed inputs and
 with an empty term.  It checks the field scan against the reference
 scan around 2**13, with and without the oracle, its rows against rows
 from the public constructor, and the oracle at q = 2**13, 2**17 and
-2**18.  It also runs the first 200 seeded command lines of
-tests/argv_fuzz.py, which the Tier-1 suite runs 1000 of, and checks
-that each ends in output, one diagnostic or a usage error, never a
-traceback, and that importing the command loads neither `dataclasses`
-nor `inspect`.
+2**18.  It checks each of the seven value types for its repr,
+equality with a twin, its hash or unhashability, and copy, deepcopy
+and pickle round trips.  It also runs the first 200 seeded command
+lines of tests/argv_fuzz.py, which the Tier-1 suite runs 1000 of, and
+checks that each ends in output, one diagnostic or a usage error,
+never a traceback, and that importing the command loads neither
+`dataclasses` nor `inspect`.
 It prints one line per part and exits 1 if any part fails.  pytest
 does not collect this file; the Tier-1 suite covers the same ground
 where pytest is installed.
 """
 
+import copy
 import io
 import json
 import os
+import pickle
 import random
 import subprocess
 import sys
@@ -37,8 +41,9 @@ from fractions import Fraction
 from pathlib import Path
 from unittest import mock
 
-from f2puiseux import (FqVerdict, ParseError, PrimePower, bitops,
-                       elementary_abelian_oracle, parse_element,
+from f2puiseux import (AxiomCheck, AxiomReport, F2Series, FqVerdict,
+                       L0Element, ParseError, PrimePower, PuiseuxUnit,
+                       bitops, elementary_abelian_oracle, parse_element,
                        prime_power_scan, series)
 from f2puiseux.cli import main
 
@@ -259,6 +264,50 @@ def census():
     return len(scans) + len(answers), bad
 
 
+def value_types():
+    # each type built twice, with its repr; the algebra types compare by
+    # truncation and have no hash, the others hash as their field tuple
+    def unit():
+        return PuiseuxUnit(4, F2Series(0b10001, 8))
+
+    def check():
+        return AxiomCheck("assoc", 3, 1, "x^(1) * 1 + O(x^(2))")
+
+    makers = (
+        (lambda: F2Series(0b1011, 6), "F2Series(1 + t + t^3 + O(t^6))"),
+        (unit, "PuiseuxUnit(1 + x^(1) + O(x^(2)))"),
+        (lambda: L0Element(Fraction(-1, 3), unit()),
+         "L0Element(x^(-1/3) * PuiseuxUnit(1 + x^(1) + O(x^(2))))"),
+        (lambda: PrimePower(2, 7), "PrimePower(p=2, n=7)"),
+        (lambda: FqVerdict(True, 127, 1),
+         "FqVerdict(is_space=True, scalar_order=127, dim=1)"),
+        (check, "AxiomCheck(name='assoc', checked=3, failures=1, "
+                "first_counterexample='x^(1) * 1 + O(x^(2))')"),
+        (lambda: AxiomReport("vector_space", 5, 3, Fraction(4),
+                             (("bound", 6),), 0, (check(),)),
+         "AxiomReport(kind='vector_space', seed=5, samples=3, "
+         "aprec=Fraction(4, 1), params=(('bound', 6),), skipped=0, "
+         f"checks=({check()!r},))"),
+    )
+    twins = (copy.copy, copy.deepcopy, lambda x: pickle.loads(pickle.dumps(x)))
+    bad = []
+    for make, text in makers:
+        x, twin = make(), make()
+        if isinstance(x, (F2Series, PuiseuxUnit, L0Element)):
+            try:
+                hash(x)
+                hash_ok = False
+            except TypeError:
+                hash_ok = True
+        else:
+            hash_ok = hash(x) == hash(twin) == hash(
+                tuple(getattr(x, name) for name in x.__match_args__))
+        if not (repr(x) == text and x == twin and not x != twin and hash_ok
+                and all(type(t(x)) is type(x) and t(x) == x for t in twins)):
+            bad.append(type(x).__name__)
+    return len(makers), bad
+
+
 def footprint():
     # importing the command leaves these modules out; -S keeps site
     # hooks out of the count
@@ -289,6 +338,8 @@ if __name__ == "__main__":
                        ("element reader against the reference parser",
                         reader),
                        ("field scan against the reference scan", census),
+                       ("value types: repr, equality, hash, copy, pickle",
+                        value_types),
                        ("seeded command lines without a traceback",
                         argv_fuzz),
                        ("import without dataclasses or inspect",

@@ -340,6 +340,9 @@ CASES = [
     # a precision too long to print is named by its digit count
     *_both("axioms", "--samples", "1", "--aprec", "1e-5000"),
     *_both("torsion", "--samples", "1", "--aprec", "1e-5000"),
+    # a square root under a cap it exceeds only before normalization
+    *_both("--den-cap", "5", "root", "1 + x^(2/3) + O(x^(4/3))", "2"),
+    *_both("--den-cap", "5", "scalar-mul", "1/2", "1 + x^(2/3) + O(x^(4/3))"),
 ]
 
 

@@ -228,6 +228,14 @@ class TestUnitSqrt:
         with pytest.raises(DenominatorOverflow):
             unit_sqrt(U(16, 0b11, 2), den_cap=16)
 
+    def test_cap_read_on_the_normalized_grid(self):
+        # 1 + x^(2/3) on den 3 has its root 1 + x^(1/3) on den 3, not 6
+        out = unit_sqrt(U(3, 0b101, 4), den_cap=5)
+        assert (out.den, out.body.coeffs, out.body.prec) == (3, 0b11, 2)
+        with pytest.raises(DenominatorOverflow,
+                           match="grid denominator 6 exceeds the cap 5"):
+            unit_sqrt(U(3, 0b11, 2), den_cap=5)
+
 
 class TestUnitRoot:
     def test_k_one(self):

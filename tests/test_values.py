@@ -19,6 +19,7 @@ import pytest
 
 from f2puiseux import (AxiomCheck, AxiomReport, F2Series, FqVerdict,
                        L0Element, PrimePower, PuiseuxUnit)
+from f2puiseux._value import Value
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -122,6 +123,61 @@ class TestValueType:
     def test_copy_and_pickle(self, x, by_keyword, text, match_args, twin):
         y = twin(x)
         assert type(y) is type(x) and y == x and repr(y) == text
+
+
+class Pair(Value):
+    """A value type that writes nothing but its slots and constructor."""
+
+    __slots__ = __match_args__ = ("left", "right")
+
+    def __init__(self, left, right):
+        object.__setattr__(self, "left", left)
+        object.__setattr__(self, "right", right)
+
+
+class SubPair(Pair):
+    __slots__ = ()
+
+
+class TestBase:
+    """What the base gives a value type that defines only its fields."""
+
+    def test_repr(self):
+        assert repr(Pair(1, "a")) == "Pair(left=1, right='a')"
+
+    def test_eq_is_type_exact(self):
+        x = Pair(1, "a")
+        assert x == Pair(1, "a") and not x != Pair(1, "a")
+        assert x != Pair(2, "a") and x != Pair(1, "b")
+        assert x != (1, "a") and x.__eq__((1, "a")) is NotImplemented
+        assert x != SubPair(1, "a") and SubPair(1, "a") == SubPair(1, "a")
+
+    def test_hash_is_that_of_the_fields(self):
+        assert hash(Pair(1, "a")) == hash((1, "a"))
+        assert len({Pair(1, "a"), Pair(1, "a"), Pair(2, "a")}) == 2
+        with pytest.raises(TypeError):
+            hash(Pair([1], "a"))
+
+    def test_immutable(self):
+        x = Pair(1, "a")
+        with pytest.raises(AttributeError):
+            x.left = 2
+        with pytest.raises(AttributeError):
+            del x.right
+        assert x == Pair(1, "a")
+
+    @pytest.mark.parametrize("twin", [
+        copy.copy, copy.deepcopy,
+        lambda x: pickle.loads(pickle.dumps(x)),
+        lambda x: pickle.loads(pickle.dumps(x, protocol=0))],
+        ids=["copy", "deepcopy", "pickle", "pickle0"])
+    def test_copy_and_pickle(self, twin):
+        x = Pair([1, 2], SubPair(3, "b"))
+        y = twin(x)
+        assert type(y) is Pair and y == x and repr(y) == repr(x)
+        assert type(y.right) is SubPair
+        if twin is not copy.copy:  # a deep copy shares no mutable field
+            assert y.left is not x.left
 
 
 def test_verdict_defaults():
