@@ -22,10 +22,16 @@ Only the few proper powers p**n (n >= 2, so p <= sqrt(q_max)) are built
 per scan and merged in by q.  Rows are built without the constructor's
 primality check, since p comes off the sieve and the merge already
 knows q; they are frozen, so scans share them as safely as both routes
-share the "no" and the trivial answer.  A row is a slotted object of
-three fields: measured with tracemalloc, store and sieve hold 8.6 MiB
-after a scan to 2**20 and 31.3 MiB after one to the desk limit.  Both
-routes still run on every row of every scan.  The oracle splits the
+share the "no" and the trivial answer.  The store grows with no Python
+call per prime: 2 is taken by hand, the odd candidates are read off
+the sieve through a strided memoryview, the rows are allocated in one
+`map` of `object.__new__`, and each slot is filled through its member
+descriptor in another; in a fresh process, growing it to 2**20 takes
+about 60 ms of a cold scan's 120 ms.  A growth that finds no new prime
+leaves the store as it is.  A row is a slotted object of three fields:
+measured with tracemalloc, store and sieve hold 8.5 MiB after a scan
+to 2**20 and 31.1 MiB after one to the desk limit.  Both routes still
+run on every row of every scan.  The oracle splits the
 power of 2 off an even q - 1 by its lowest set bit and reduces every
 element of the cyclic group in one C-level `map`, so a row costs
 little beyond its two verdicts.  Trial division tries no divisor above
@@ -35,6 +41,7 @@ the desk-scale limit and raises OutOfRange instead.
 from __future__ import annotations
 
 from bisect import bisect_right
+from collections import deque
 from itertools import compress, repeat
 from math import isqrt
 from operator import attrgetter, mod
@@ -293,9 +300,19 @@ def _prime_rows_to(q_max: int) -> list[PrimePower]:
         with _growing:
             rows = _prime_rows
             top = rows[-1].q + 1 if rows else 2
-            if top <= q_max:
-                new = compress(range(top, q_max + 1),
-                               memoryview(_sieve)[top:q_max + 1])
-                rows = [*rows, *(_row(p, 1, p) for p in new)]
+            # 2 by hand, then the odd candidates only
+            new = [2] if top == 2 else []
+            odd = top | 1
+            new += compress(range(odd, q_max + 1, 2),
+                            memoryview(_sieve)[odd:q_max + 1:2])
+            if new:
+                # _row's work in C: allocate every row, then fill each
+                # slot through its member descriptor
+                made = list(map(object.__new__,
+                                repeat(PrimePower, len(new))))
+                deque(map(PrimePower.p.__set__, made, new), 0)
+                deque(map(PrimePower.n.__set__, made, repeat(1)), 0)
+                deque(map(PrimePower.q.__set__, made, new), 0)
+                rows = rows + made
                 _prime_rows = rows
     return rows

@@ -13,12 +13,18 @@ sides of each comb cutoff and of the window switch, checks one 4-bit
 comb product at stride 3 against schoolbook convolution, and checks the
 element reader against the reference parser on wire-shaped texts:
 well-formed, with each defect of the benchmark's malformed inputs and
-with an empty term.  It checks the field scan against the reference
-scan around 2**13, with and without the oracle, its rows against rows
-from the public constructor, and the oracle at q = 2**13, 2**17 and
-2**18.  It checks each of the seven value types for its repr,
-equality with a twin, its hash or unhashability, and copy, deepcopy
-and pickle round trips.  It also runs the first 200 seeded command
+with an empty term.  From the smallest sieve and an empty store of
+prime rows, it grows the store one q_max at a time (2 to 40, 8190 to
+8194, and 2**16 - 1 to 2**16 + 1), which reads the sieve through a
+strided memoryview and fills each row's slots through their member
+descriptors, and checks each step's scan against the reference scan
+and each stored row against one from the public constructor.  It
+checks the field scan against the reference scan around 2**13, with
+and without the oracle, its rows against rows from the public
+constructor, and the oracle at q = 2**13, 2**17 and 2**18.  It
+checks each of the seven value types for its repr, equality with a
+twin, its hash or unhashability, and copy, deepcopy and pickle round
+trips.  It also runs the first 200 seeded command
 lines of tests/argv_fuzz.py, which the Tier-1 suite runs 1000 of, and
 checks that each ends in output, one diagnostic or a usage error,
 never a traceback, and that importing the command loads neither
@@ -45,6 +51,7 @@ from f2puiseux import (AxiomCheck, AxiomReport, F2Series, FqVerdict,
                        L0Element, ParseError, PrimePower, PuiseuxUnit,
                        bitops, elementary_abelian_oracle, parse_element,
                        prime_power_scan, series)
+from f2puiseux import finfield
 from f2puiseux.cli import main
 
 from argv_fuzz import broken_rule, draws
@@ -242,15 +249,32 @@ def row(pp):
 
 
 def census():
-    # scans with and without the oracle against the reference, the
-    # scan's rows against constructed ones, and the oracle's walk over
-    # the 8191 and 131071 elements of two Mersenne orders; the
-    # descending scans take prefixes of the stored prime rows
+    # from the smallest sieve and an empty row store, the store grown
+    # one q_max at a time across the edges of its growth (2 is taken
+    # apart, the odd candidates are read with a stride): each step's
+    # scan against the reference, the store's rows against the
+    # reference's primes and against constructed rows.  Then scans with
+    # and without the oracle against the reference, the scan's rows
+    # against constructed ones, and the oracle's walk over the 8191 and
+    # 131071 elements of two Mersenne orders; the descending scans take
+    # prefixes of the stored prime rows
+    finfield._sieve = bytearray(b"\x00\x00\x01\x01")
+    finfield._prime_rows = []
+    steps = [*range(2, 41), *range(8190, 8195),
+             (1 << 16) - 1, 1 << 16, (1 << 16) + 1]
+    bad = []
+    for q_max in steps:
+        want = reference_prime_power_scan(q_max)
+        if prime_power_scan(q_max) != want or [
+                pp.q for pp in finfield._prime_rows] != [
+                pp.q for pp, _, _ in want if pp.n == 1] or any(
+                row(pp) != row(PrimePower(pp.p, 1))
+                for pp in finfield._prime_rows):
+            bad.append(("growth", q_max))
     scans = [(q_max, include_oracle)
              for q_max in (2, 3, 4, 8191, 8192, 8193,
                            8193, 8192, 8191, 4, 3, 2)
              for include_oracle in (True, False)]
-    bad = []
     for q_max, include_oracle in scans:
         rows = prime_power_scan(q_max, include_oracle=include_oracle)
         if rows != reference_prime_power_scan(
@@ -261,7 +285,7 @@ def census():
                (17, FqVerdict(True, 131071, 1)), (18, FqVerdict(False)))
     bad += [(2, n) for n, want in answers
             if elementary_abelian_oracle(PrimePower(2, n)) != want]
-    return len(scans) + len(answers), bad
+    return len(steps) + len(scans) + len(answers), bad
 
 
 def value_types():

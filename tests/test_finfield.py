@@ -355,6 +355,31 @@ class TestPrimeRowStore:
         # a smaller store never replaces a larger one
         assert [pp.q for pp in finfield._prime_rows] == primes_to(70000)
 
+    def test_repeat_scan_past_the_last_prime_keeps_the_store(self):
+        # no prime lies in 32750..32768, so the second scan finds
+        # nothing to add and publishes nothing
+        prime_power_scan(1 << 15, include_oracle=False)
+        stored = finfield._prime_rows
+        assert stored[-1].q == 32749
+        prime_power_scan(1 << 15, include_oracle=False)
+        assert finfield._prime_rows is stored
+
+    def test_growth_by_single_steps_across_parity_edges(self, monkeypatch):
+        # 2 is taken apart from the odd candidates, so each step starts
+        # on an even or an odd top and ends on a prime or not
+        monkeypatch.setattr(finfield, "_sieve",
+                            bytearray(b"\x00\x00\x01\x01"))
+        steps = [*range(2, 41), *range(8190, 8195),
+                 (1 << 16) - 1, 1 << 16, (1 << 16) + 1]
+        for q_max in steps:
+            rows = prime_power_scan(q_max)
+            assert rows == reference_prime_power_scan(q_max), q_max
+            stored = finfield._prime_rows
+            assert [pp.q for pp in stored] == primes_to(q_max), q_max
+            assert all(type(pp) is PrimePower for pp in stored)
+            for pp in stored:
+                assert row(pp) == row(PrimePower(pp.p, 1)), pp
+
 
 class TestOracleBitSplit:
     """An even q - 1 loses its power of 2 by its lowest set bit; an odd
