@@ -15,27 +15,23 @@ deliberately avoiding the "q - 1 is prime" shortcut so the scan can
 confront the two.  Primality of Mersenne candidates is likewise
 checked twice, by trial division and by the Lucas-Lehmer sequence.
 
-`prime_power_scan` takes the rows of the primes from a store kept
-for the life of the process, ascending by q: a scan extends it only
-past the largest q any scan has reached, and otherwise takes a prefix.
-Only the few proper powers p**n (n >= 2, so p <= sqrt(q_max)) are built
-per scan and merged in by q.  Rows are built without the constructor's
-primality check, since p comes off the sieve and the merge already
-knows q; they are frozen, so scans share them as safely as both routes
-share the "no" and the trivial answer.  The store grows with no Python
-call per prime: 2 is taken by hand, the odd candidates are read off
-the sieve through a strided memoryview, the rows are allocated in one
-`map` of `object.__new__`, and each slot is filled through its member
-descriptor in another; in a fresh process, growing it to 2**20 takes
-about 60 ms of a cold scan's 120 ms.  A growth that finds no new prime
-leaves the store as it is.  A row is a slotted object of three fields:
-measured with tracemalloc, store and sieve hold 8.5 MiB after a scan
-to 2**20 and 31.1 MiB after one to the desk limit.  Both routes still
-run on every row of every scan.  The oracle splits the
-power of 2 off an even q - 1 by its lowest set bit and reduces every
-element of the cyclic group in one C-level `map`, so a row costs
-little beyond its two verdicts.  Trial division tries no divisor above
-the desk-scale limit and raises OutOfRange instead.
+`prime_power_scan` takes its rows from one store of every prime power,
+kept for the life of the process and ascending by q: a scan takes a
+prefix of it, and extends it first only past the largest q any scan
+has reached.  A growth reads the new primes off the sieve (2 by hand,
+the odd candidates through a strided memoryview) and the new proper
+powers p**n from the primes p <= sqrt(q_max).  It allocates their rows
+in one `map` of `object.__new__`, fills each slot through its member
+descriptor in another, and orders the new rows by q once; a growth
+that finds no new row leaves the store as it is.  Rows are built
+without the constructor's primality check, since p comes off the
+sieve; they are frozen, so scans share them as safely as both routes
+share the "no" and the trivial answer.  Both routes still run on every
+row of every scan.  The oracle splits the power of 2 off an even q - 1
+by its lowest set bit and reduces every element of the cyclic group in
+one C-level `map`, so a row costs little beyond its two verdicts.
+Trial division tries no divisor above the desk-scale limit and raises
+OutOfRange instead.
 """
 
 from __future__ import annotations
@@ -54,9 +50,9 @@ from .errors import OutOfRange, _brief
 _DESK_LIMIT = 1 << 22
 
 _sieve = bytearray(b"\x00\x00\x01\x01")  # primality table, index <= len-1
-# rows p**1 of every prime up to the last one's q, ascending; only
+# the row of every prime power up to the last one's q, ascending; only
 # prime_power_scan grows it
-_prime_rows: list[PrimePower] = []
+_rows: list[PrimePower] = []
 # one grower at a time, so neither table is replaced by a smaller one;
 # readers take whichever is bound, as each is published by one rebinding
 _growing = Lock()
@@ -164,16 +160,6 @@ class PrimePower(Value):
         return cls(p, n)
 
 
-def _row(p: int, n: int, q: int) -> PrimePower:
-    """PrimePower(p, n) for a p off the sieve and q == p**n, built
-    without the constructor's checks."""
-    r = object.__new__(PrimePower)
-    object.__setattr__(r, "p", p)
-    object.__setattr__(r, "n", n)
-    object.__setattr__(r, "q", q)
-    return r
-
-
 class FqVerdict(Value):
     """Answer for one q: is the multiplicative group a linear space.
 
@@ -266,53 +252,51 @@ def prime_power_scan(q_max: int, *, include_oracle: bool = True
         raise OutOfRange(
             f"q_max = {_brief(q_max)} exceeds the desk-scale limit "
             f"{_DESK_LIMIT}")
-    primes = _prime_rows_to(q_max)
-    # the proper powers p**n (n >= 2) have p <= isqrt(q_max) and are
-    # few; each goes in after the primes below it
-    powers = []
-    for p in map(_q, primes[:bisect_right(primes, isqrt(q_max), key=_q)]):
-        q, n = p * p, 2
-        while q <= q_max:
-            powers.append(_row(p, n, q))
-            q *= p
-            n += 1
-    powers.sort(key=_q)
-    rows, start = [], 0
-    for pp in powers:
-        end = bisect_right(primes, pp.q, start, key=_q)
-        rows += primes[start:end]
-        rows.append(pp)
-        start = end
-    rows += primes[start:bisect_right(primes, q_max, start, key=_q)]
+    rows = _rows_to(q_max)
+    rows = rows[:bisect_right(rows, q_max, key=_q)]
     if include_oracle:
         return [(pp, linear_space_verdict(pp), elementary_abelian_oracle(pp))
                 for pp in rows]
     return [(pp, linear_space_verdict(pp), None) for pp in rows]
 
 
-def _prime_rows_to(q_max: int) -> list[PrimePower]:
-    """The store of prime rows, grown first to every prime <= q_max if
+def _rows_to(q_max: int) -> list[PrimePower]:
+    """The store of rows, grown first to every prime power <= q_max if
     it stops short."""
-    global _prime_rows
-    rows = _prime_rows
+    global _rows
+    rows = _rows
     if not rows or rows[-1].q < q_max:
         _grow_sieve(q_max)
         with _growing:
-            rows = _prime_rows
+            rows = _rows
             top = rows[-1].q + 1 if rows else 2
-            # 2 by hand, then the odd candidates only
-            new = [2] if top == 2 else []
+            # the primes: 2 by hand, then the odd candidates only; a
+            # prime's row keeps p and q as one int object
+            ps = [2] if top == 2 else []
             odd = top | 1
-            new += compress(range(odd, q_max + 1, 2),
-                            memoryview(_sieve)[odd:q_max + 1:2])
-            if new:
-                # _row's work in C: allocate every row, then fill each
-                # slot through its member descriptor
-                made = list(map(object.__new__,
-                                repeat(PrimePower, len(new))))
-                deque(map(PrimePower.p.__set__, made, new), 0)
-                deque(map(PrimePower.n.__set__, made, repeat(1)), 0)
-                deque(map(PrimePower.q.__set__, made, new), 0)
+            ps += compress(range(odd, q_max + 1, 2),
+                           memoryview(_sieve)[odd:q_max + 1:2])
+            qs = ps.copy()
+            ns = [1] * len(ps)
+            # the proper powers p**n (n >= 2), so p <= isqrt(q_max)
+            root = isqrt(q_max)
+            for p in compress(range(root + 1), memoryview(_sieve)[:root + 1]):
+                q, n = p * p, 2
+                while q <= q_max:
+                    if q >= top:
+                        ps.append(p)
+                        ns.append(n)
+                        qs.append(q)
+                    q *= p
+                    n += 1
+            if qs:
+                # allocate every row, then fill each slot through its
+                # member descriptor, all in C
+                made = list(map(object.__new__, repeat(PrimePower, len(qs))))
+                deque(map(PrimePower.p.__set__, made, ps), 0)
+                deque(map(PrimePower.n.__set__, made, ns), 0)
+                deque(map(PrimePower.q.__set__, made, qs), 0)
+                made.sort(key=_q)
                 rows = rows + made
-                _prime_rows = rows
+                _rows = rows
     return rows

@@ -14,11 +14,12 @@ comb product at stride 3 against schoolbook convolution, and checks the
 element reader against the reference parser on wire-shaped texts:
 well-formed, with each defect of the benchmark's malformed inputs and
 with an empty term.  From the smallest sieve and an empty store of
-prime rows, it grows the store one q_max at a time (2 to 40, 8190 to
-8194, and 2**16 - 1 to 2**16 + 1), which reads the sieve through a
-strided memoryview and fills each row's slots through their member
-descriptors, and checks each step's scan against the reference scan
-and each stored row against one from the public constructor.  It
+prime-power rows, it grows the store one q_max at a time (2 to 40,
+8190 to 8194, and 2**16 - 1 to 2**16 + 1), which reads the sieve
+through a strided memoryview and fills each row's slots through their
+member descriptors, and checks each step's scan against the reference
+scan, the stored q's against the reference's prime powers, and each
+stored row against one from the public constructor.  It
 checks the field scan against the reference scan around 2**13, with
 and without the oracle, its rows against rows from the public
 constructor, and the oracle at q = 2**13, 2**17 and 2**18.  It
@@ -251,25 +252,26 @@ def row(pp):
 def census():
     # from the smallest sieve and an empty row store, the store grown
     # one q_max at a time across the edges of its growth (2 is taken
-    # apart, the odd candidates are read with a stride): each step's
-    # scan against the reference, the store's rows against the
-    # reference's primes and against constructed rows.  Then scans with
-    # and without the oracle against the reference, the scan's rows
-    # against constructed ones, and the oracle's walk over the 8191 and
-    # 131071 elements of two Mersenne orders; the descending scans take
-    # prefixes of the stored prime rows
+    # apart, the odd candidates are read with a stride, the proper
+    # powers come from the primes up to the root): each step's scan
+    # against the reference, the store's rows against the reference's
+    # prime powers and against constructed rows.  Then scans with and
+    # without the oracle against the reference, the scan's rows against
+    # constructed ones, and the oracle's walk over the 8191 and 131071
+    # elements of two Mersenne orders; the descending scans take
+    # prefixes of the stored rows
     finfield._sieve = bytearray(b"\x00\x00\x01\x01")
-    finfield._prime_rows = []
+    finfield._rows = []
     steps = [*range(2, 41), *range(8190, 8195),
              (1 << 16) - 1, 1 << 16, (1 << 16) + 1]
     bad = []
     for q_max in steps:
         want = reference_prime_power_scan(q_max)
         if prime_power_scan(q_max) != want or [
-                pp.q for pp in finfield._prime_rows] != [
-                pp.q for pp, _, _ in want if pp.n == 1] or any(
-                row(pp) != row(PrimePower(pp.p, 1))
-                for pp in finfield._prime_rows):
+                pp.q for pp in finfield._rows] != [
+                pp.q for pp, _, _ in want] or any(
+                row(pp) != row(PrimePower(pp.p, pp.n))
+                for pp in finfield._rows):
             bad.append(("growth", q_max))
     scans = [(q_max, include_oracle)
              for q_max in (2, 3, 4, 8191, 8192, 8193,

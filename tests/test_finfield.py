@@ -1,4 +1,6 @@
+import sys
 import threading
+from bisect import bisect_right
 
 import pytest
 
@@ -238,13 +240,13 @@ class TestScan:
 
     def test_qmax_above_desk_limit_rejected_before_sieve_grows(self):
         size = len(finfield._sieve)
-        stored = finfield._prime_rows
+        stored = finfield._rows
         with pytest.raises(OutOfRange):
             prime_power_scan(10_000_000_000)
         with pytest.raises(OutOfRange):
             prime_power_scan(finfield._DESK_LIMIT + 1, include_oracle=False)
         assert len(finfield._sieve) == size
-        assert finfield._prime_rows is stored
+        assert finfield._rows is stored
 
 
 class TestSieveCap:
@@ -268,17 +270,16 @@ class TestSieveCap:
 
 
 class TestScanAgainstReference:
-    """The scan walks the sieve's primes, merges in the proper powers and
-    shares verdict values; the reference factors every integer in turn
-    and builds each row afresh.  Each test starts from the smallest
-    sieve and an empty row store, so the scans also grow both on the
-    way."""
+    """The scan takes a prefix of the stored prime-power rows and shares
+    verdict values; the reference factors every integer in turn and
+    builds each row afresh.  Each test starts from the smallest sieve
+    and an empty row store, so the scans also grow both on the way."""
 
     @pytest.fixture(autouse=True)
     def fresh_sieve(self, monkeypatch):
         monkeypatch.setattr(finfield, "_sieve",
                             bytearray(b"\x00\x00\x01\x01"))
-        monkeypatch.setattr(finfield, "_prime_rows", [])
+        monkeypatch.setattr(finfield, "_rows", [])
 
     @pytest.mark.parametrize("include_oracle", [True, False])
     def test_matches_reference(self, include_oracle):
@@ -299,21 +300,26 @@ class TestScanAgainstReference:
         assert sum(not v.is_space for v in answers) > 1000
 
 
-def primes_to(limit):
-    return [q for q in range(2, limit + 1) if trial_division_prime(q)]
-
-
 def row(pp):
     return pp.p, pp.n, pp.q, hash(pp), repr(pp)
 
 
+def stored_qs():
+    return [pp.q for pp in finfield._rows]
+
+
+def reference_qs(q_max):
+    return [pp.q for pp, _, _ in reference_prime_power_scan(
+        q_max, include_oracle=False)]
+
+
 class TestPrimeRowStore:
-    """Scans share the rows of the primes through one store that only
-    scans grow; each test starts from an empty store."""
+    """Scans share the row of every prime power through one store that
+    only scans grow; each test starts from an empty store."""
 
     @pytest.fixture(autouse=True)
     def empty_store(self, monkeypatch):
-        monkeypatch.setattr(finfield, "_prime_rows", [])
+        monkeypatch.setattr(finfield, "_rows", [])
 
     def test_scans_in_any_order_match_reference(self):
         # grown, then prefixes at the bottom and the middle, then grown
@@ -325,8 +331,9 @@ class TestPrimeRowStore:
                     q_max, include_oracle=include_oracle), q_max
                 for pp, _, _ in rows:
                     assert row(pp) == row(PrimePower(pp.p, pp.n)), pp
-        assert [pp.q for pp in finfield._prime_rows] == primes_to(32769)
-        assert all(pp.n == 1 for pp in finfield._prime_rows)
+        assert stored_qs() == reference_qs(32769)
+        for pp in finfield._rows:
+            assert row(pp) == row(PrimePower(pp.p, pp.n)), pp
 
     def test_sieve_growth_adds_no_rows(self, monkeypatch):
         monkeypatch.setattr(finfield, "_sieve",
@@ -334,39 +341,64 @@ class TestPrimeRowStore:
         assert finfield.is_prime(4_000_037)
         assert PrimePower(4_000_037, 1).q == 4_000_037
         assert len(finfield._sieve) > 4_000_037
-        assert finfield._prime_rows == []
+        assert finfield._rows == []
 
     def test_concurrent_scans_from_an_empty_store(self, monkeypatch):
+        # more threads than cores, switching as often as the interpreter
+        # allows, all released at once onto an empty store and sieve
         monkeypatch.setattr(finfield, "_sieve",
                             bytearray(b"\x00\x00\x01\x01"))
+        q_maxes = (70000, 2, 4096, 30000, 32768, 65537, 69999, 50000)
+        want = reference_prime_power_scan(max(q_maxes))
+        start = threading.Barrier(len(q_maxes))
         results = {}
 
         def scan(q_max):
+            start.wait(timeout=60)
             results[q_max] = prime_power_scan(q_max)
 
-        threads = [threading.Thread(target=scan, args=(q_max,))
-                   for q_max in (30000, 70000)]
+        threads = [threading.Thread(target=scan, args=(q_max,), daemon=True)
+                   for q_max in q_maxes]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
         for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-        for q_max in (30000, 70000):
-            assert results[q_max] == reference_prime_power_scan(q_max)
-        # a smaller store never replaces a larger one
-        assert [pp.q for pp in finfield._prime_rows] == primes_to(70000)
+            assert not t.is_alive()
+        for q_max in q_maxes:
+            end = bisect_right(want, q_max, key=lambda r: r[0].q)
+            assert results[q_max] == want[:end], q_max
+        # a smaller store never replaces a larger one, and no row is
+        # stored twice
+        assert stored_qs() == [pp.q for pp, _, _ in want]
 
     def test_repeat_scan_past_the_last_prime_keeps_the_store(self):
-        # no prime lies in 32750..32768, so the second scan finds
-        # nothing to add and publishes nothing
-        prime_power_scan(1 << 15, include_oracle=False)
-        stored = finfield._prime_rows
-        assert stored[-1].q == 32749
-        prime_power_scan(1 << 15, include_oracle=False)
-        assert finfield._prime_rows is stored
+        # 32761 = 181**2 and no prime power lies in 32762..32767, so
+        # the second scan finds nothing to add and publishes nothing
+        prime_power_scan(32767, include_oracle=False)
+        stored = finfield._rows
+        assert stored[-1] == PrimePower(181, 2)
+        prime_power_scan(32767, include_oracle=False)
+        assert finfield._rows is stored
+
+    def test_scans_share_every_row(self):
+        # the proper powers are stored with the primes, not rebuilt
+        first = prime_power_scan(1 << 16, include_oracle=False)
+        second = prime_power_scan(1 << 16, include_oracle=False)
+        assert len(first) == len(second)
+        assert sum(pp.n > 1 for pp, _, _ in first) == 93
+        for (a, _, _), (b, _, _) in zip(first, second):
+            assert a is b, a
 
     def test_growth_by_single_steps_across_parity_edges(self, monkeypatch):
         # 2 is taken apart from the odd candidates, so each step starts
-        # on an even or an odd top and ends on a prime or not
+        # on an even or an odd top and ends on a prime, a proper power
+        # or neither
         monkeypatch.setattr(finfield, "_sieve",
                             bytearray(b"\x00\x00\x01\x01"))
         steps = [*range(2, 41), *range(8190, 8195),
@@ -374,11 +406,12 @@ class TestPrimeRowStore:
         for q_max in steps:
             rows = prime_power_scan(q_max)
             assert rows == reference_prime_power_scan(q_max), q_max
-            stored = finfield._prime_rows
-            assert [pp.q for pp in stored] == primes_to(q_max), q_max
+            stored = finfield._rows
+            assert stored_qs() == [pp.q for pp, _, _ in rows], q_max
             assert all(type(pp) is PrimePower for pp in stored)
             for pp in stored:
-                assert row(pp) == row(PrimePower(pp.p, 1)), pp
+                assert row(pp) == row(PrimePower(pp.p, pp.n)), pp
+                assert pp.n > 1 or pp.p is pp.q, pp
 
 
 class TestOracleBitSplit:
