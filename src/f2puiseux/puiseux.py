@@ -13,9 +13,9 @@ stands for x**val * unit.  Multiplication adds valuations and
 multiplies units, so the element group splits as the direct product of
 the rationals and the unit group; decompose/compose move between the
 raw-series view and that product view.  Parsed text and decompose_raw's
-exponent lists share one core: _grid puts the exponents on the grid
-1/big, big the lcm of the denominators, and _factor splits off the
-valuation and the unit on its minimal grid.
+exponent lists share one planner, _plan: it splits off the valuation,
+finds the unit's minimal grid and checks the den cap before anything
+is built on a grid past the cap.
 
 Every unit is stored normalized, on the coarsest grid its body,
 precision and den allow, and the constructor checks that with
@@ -32,9 +32,9 @@ from __future__ import annotations
 
 from collections import Counter, deque
 from fractions import Fraction
-from itertools import repeat
+from itertools import islice, repeat
 from math import gcd, lcm
-from operator import floordiv, mul, sub
+from operator import floordiv, lt, mul, sub
 from typing import Iterable, Union
 
 from . import series
@@ -269,56 +269,65 @@ def decompose_raw(exponents: Iterable[RationalLike], aprec: RationalLike, *,
     least surviving exponent becomes the valuation and is divided out.
     """
     aprec = Fraction(aprec)
-    nums, dens = [], []
+    pairs = []
     for e in exponents:
         e = Fraction(e)
         if e >= aprec:
             raise ValueError(
                 f"term x^({_brief(e)}) lies at or beyond the precision "
                 f"O(x^({_brief(aprec)}))")
-        nums.append(e.numerator)
-        dens.append(e.denominator)
-    big, indices, prec = _grid(nums, dens, aprec.numerator, aprec.denominator)
-    odd = [i for i, c in Counter(indices).items() if c & 1]  # repeats cancel
-    return _factor(sorted(odd), big, prec, den_cap)
+        pairs.append((e.numerator, e.denominator))
+    odd = [t for t, c in Counter(pairs).items() if c & 1]  # repeats cancel
+    if not odd:
+        raise Indistinguishable("all coefficients within precision are zero")
+    # on denominators up to d, terms lie 1/d**2 apart: floors sort them
+    d2 = max(d for _, d in odd) ** 2
+    odd.sort(key=lambda t: t[0] * d2 // t[1])
+    return _plan(*zip(*odd), aprec.numerator, aprec.denominator, den_cap)
 
 
-def _grid(nums, dens, pn: int, pd: int):
-    """big, the lcm of pd and the denominators, the indices on 1/big of
-    the exponents nums[i]/dens[i] (ints or numerals, a denominator None
-    for 1, each distinct one converted once) and the index of pn/pd."""
+def _plan(nums, dens, pn: int, pd: int,
+          den_cap: int | None) -> L0Element | None:
+    """x**val * unit for the terms x**(nums[i]/dens[i]) + O(x**(pn/pd)),
+    or None unless the exponents ascend strictly below the precision.
+
+    nums and dens are ints or numerals, a denominator None for 1.  The
+    unit's grid, minimal so the constructor's stride test is skipped,
+    is the lcm of the reduced denominators of the exponents less the
+    lowest, the valuation.  While big, the lcm of all denominators, is
+    within the cap, it is big over one gcd on the grid 1/big; past it,
+    it grows term by term and is checked before any index exists.
+    """
+    nums, dens = [*nums, pn], [*dens, pd]  # the precision last
     den_of = {d: 1 if d is None else int(d) for d in set(dens)}
-    big = lcm(pd, *den_of.values())
-    scale = {d: big // n for d, n in den_of.items()}
-    return (big, list(map(mul, map(int, nums), map(scale.__getitem__, dens))),
-            pn * (big // pd))
-
-
-def _factor(indices: list[int], big: int, prec: int,
-            den_cap: int | None) -> L0Element:
-    # The integer core of decompose_raw and the parser.  The indices
-    # ascend strictly on the grid 1/big, below the precision index
-    # prec; the lowest is the valuation.  The minimal grid of the unit
-    # divides big by the gcd g of big, the indices relative to the
-    # valuation and the relative precision.  The unit is built without
-    # the constructor's stride test: a d > 1 dividing its den, precision
-    # and every index would make d * g divide what g is the gcd of.  The
-    # den cap is checked before the bitmap is built; the bitmap is written
-    # as a base-2 numeral, one byte per grid step, so one C-level pass
-    # sets its bits.
-    if not indices:
-        raise Indistinguishable(
-            "all coefficients within precision are zero")
-    low, high = indices[0], indices[-1]
-    g = gcd(big, prec - low, *map(sub, indices, repeat(low)))
-    den = big // g
-    _check_den(den, den_cap)
+    big = lcm(*den_of.values())
+    if den_cap is None or big <= den_cap:
+        scale = {d: big // n for d, n in den_of.items()}
+        indices = list(map(mul, map(int, nums), map(scale.__getitem__, dens)))
+        if not all(map(lt, indices, islice(indices, 1, None))):
+            return None
+        prec, low = indices.pop(), indices[0]
+        g = gcd(big, prec - low, *map(sub, indices, repeat(low)))
+        val, den = Fraction(low, big), big // g
+    else:
+        nums, dens = [*map(int, nums)], [*map(den_of.__getitem__, dens)]
+        if not all(map(lt, map(mul, nums, islice(dens, 1, None)),
+                       map(mul, islice(nums, 1, None), dens))):
+            return None
+        # each exponent less the lowest, the precision last, is r / q
+        rs = [n * dens[0] - nums[0] * d for n, d in zip(nums, dens)]
+        qs = [d * dens[0] for d in dens]
+        den = lcm(*map(floordiv, qs, map(gcd, rs, qs)))
+        _check_den(den, den_cap)
+        *indices, prec = map(floordiv, map(mul, rs, repeat(den)), qs)
+        val, low, g = Fraction(nums[0], dens[0]), 0, 1
+    high = indices[-1]
     digits = bytearray(b"0") * ((high - low) // g + 1)  # high bit first
     deque(map(digits.__setitem__,
               map(floordiv, map(sub, repeat(high), indices), repeat(g)),
               repeat(ord("1"))), 0)
     unit = _normalized(den, F2Series(int(digits, 2), (prec - low) // g))
-    return L0Element(Fraction(low, big), unit)
+    return L0Element(val, unit)
 
 
 def element_mul(a: L0Element, b: L0Element, *,

@@ -17,15 +17,16 @@ identity.
 The codec works on integer grid indices, in time linear in the number
 of terms.  One reader parses: after the precision marker and the
 valuation factor, one regex split checks every body term and cuts out
-its numerals, and puiseux._grid converts them, each distinct denominator
-once: an exponent n/d becomes the index n * (big // d) on the grid
-1/big, big the lcm of all denominators, so an unreduced fraction lands
-where its reduced form does; one pass checks that the indices increase
-and one comparison bounds them by the precision.  A body that fails any
-of this is walked one term at a time, and the first bad term raises its
-positioned error; an empty term outranks every other error.  The grid
-and the factoring are those of puiseux.decompose_raw.  Outside the
-split every numeral is read by one reader, _numerals: the walk, the
+its numerals, and puiseux._plan, decompose_raw's planner, converts
+them, each distinct denominator once.  While big, the lcm of all
+denominators, is within the den cap, n/d becomes the index
+n * (big // d) on the grid 1/big, where an unreduced fraction lands on
+its reduced form's index, and one pass checks that the indices rise to
+the precision; past the cap, cross-multiplication checks the exponents.
+A body that fails any of this is walked one term at a time, and the
+first bad term raises its positioned error before the den cap is
+checked; an empty term outranks every other error.  Every numeral
+outside the split is read by one reader, _numerals: the walk, the
 precision marker, the valuation factor and parse_rational.  Formatting
 renders bit j of a unit body on the grid 1/den as j/den, reduced by one
 gcd.  Fractions are built only for the valuation and for error texts.
@@ -36,15 +37,13 @@ from __future__ import annotations
 import re
 import sys
 from fractions import Fraction
-from itertools import islice
 from math import gcd
-from operator import lt
 
 from .bitops import bit_indices
 from .errors import (ElementSyntaxError, ExponentNotIncreasing,
                      NonpositivePrecision, NonUnitLeadingTerm, ParseError)
 from .puiseux import (DEFAULT_DEN_CAP, L0Element, PuiseuxUnit, Rational,
-                      _factor, _grid, compose)
+                      _plan, compose)
 
 # x^n, x^(n) or x^(n/d): group 1 is the parenthesis, 2 the numerator
 # and 3 the denominator, which only a parenthesized exponent may have
@@ -126,15 +125,11 @@ def _walk(body: str, factored: bool, pn: int, pd: int):
     return nums, dens
 
 
-def _read(s: str):
-    """(valuation or None, big, grid indices on 1/big, precision index)
-    of element text; raises the positioned error of the first bad term.
-
-    The tail O(x^(P)) and the valuation factor are read first, then the
-    body by one regex split; a body the split rejects, or whose
-    exponents fail to convert, increase or stay below the precision, is
-    walked one term at a time instead.
-    """
+def _read(s: str, den_cap: int | None = DEFAULT_DEN_CAP) -> L0Element:
+    """The element text s stands for.  The tail O(x^(P)) and the
+    valuation factor are read first, then the body by one regex split; a
+    body the split or _plan rejects is walked one term at a time, and
+    the first bad term raises its positioned error."""
     try:
         cut = s.rfind("+")
         lead = len(s) - len(s.lstrip())  # where the first term starts
@@ -149,7 +144,7 @@ def _read(s: str):
             raise ElementSyntaxError("expected precision marker O(x^(P)), "
                                      f"got {o_text.rstrip()!r}", o_pos)
         pn, pd = _numerals(tail, o_pos)
-        val = None
+        val = 0
         first = s.find("+")
         star = s.find("*", 0, first)  # -1 when there is no valuation factor
         if star >= 0:
@@ -167,35 +162,31 @@ def _read(s: str):
         # then its three groups; the split holds the body when the last
         # term it cuts out ends at the last "+"
         parts = _BODY_TERM.split(s[star + 1:].lstrip())
+        a = None
         if not any(parts[:-1:4]) and "+" not in parts[-1]:
             nums, dens = parts[2::4], parts[3::4]
             del parts  # four entries per term: free them before converting
             try:
                 if None in nums:  # the term 1, read as x^0
                     nums[nums.index(None)] = "0"
-                big, indices, prec = _grid(nums, dens, pn, pd)
-                if indices[-1] < prec and all(map(lt, indices,
-                                                  islice(indices, 1, None))):
-                    return val, big, indices, prec
+                a = _plan(nums, dens, pn, pd, den_cap)
             except (ValueError, TypeError, ZeroDivisionError):
                 pass  # an over-long numeral, a second 1 or a zero denominator
-        return (val, *_grid(*_walk(s[:cut], star >= 0, pn, pd), pn, pd))
+        if a is None:
+            a = _plan(*_walk(s[:cut], star >= 0, pn, pd), pn, pd, den_cap)
     except ParseError:
         # an empty term outranks every other error
         empty = _EMPTY_TERM.search("+" + s)
         if empty:
             raise ElementSyntaxError("empty term", empty.start()) from None
         raise
+    return compose(val + a.val, a.unit) if val else a
 
 
 def parse_element(s: str, *,
                   den_cap: int | None = DEFAULT_DEN_CAP) -> L0Element:
     """Parse element text into its canonical factored form."""
-    val, big, indices, prec = _read(s)
-    element = _factor(indices, big, prec, den_cap)
-    if val is not None:
-        element = compose(val + element.val, element.unit)
-    return element
+    return _read(s, den_cap)
 
 
 def parse_unit(s: str, *,

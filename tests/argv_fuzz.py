@@ -11,7 +11,11 @@ Anything else, a traceback above all, breaks it.
 
 The draws stay at sizes that need no precision budget: element texts
 of a few terms, harness runs of one or two samples at small
-precisions, den caps 1-12 and scans up to 200.
+precisions, den caps 1-12 and scans up to 200.  Some terms and tails
+are written on the grid 1/13, past every drawn den cap, so that texts
+reach the route that grows the unit grid term by term; a few of them
+still answer, as x^(1/13) + x^(14/13) + O(x^(27/13)) does: its unit
+lives on den 1.
 """
 
 import io
@@ -26,9 +30,11 @@ from f2puiseux.cli import main
 FACTORS = ("", "", "", "x^(1/3) * ", "x^(-5/2) *", "x^2 * ", "x^(1/0) * ",
            "2 * ", "x^(1) * x^(2) * ")
 TERMS = ("1", "1", "x^1", "x^2", "x^(1/2)", "x^(2/3)", "x^(3/4)", "x^(4/6)",
-         "x^(-1)", "x^(5/2)", "x^(1/0)", "x^(0/0)", "x", "2 * 1", "", "abc")
+         "x^(-1)", "x^(5/2)", "x^(1/0)", "x^(0/0)", "x", "2 * 1", "", "abc",
+         "x^(1/13)", "x^(14/13)", "x^(14/13)")
 TAILS = ("O(x^(3))", "O(x^3)", "O(x^(7/2))", "O(x^(10))", "O(x^(0))",
-         "O(x^(-1))", "O(x^(1/0))", "O(x)", "")
+         "O(x^(-1))", "O(x^(1/0))", "O(x)", "", "O(x^(27/13))",
+         "O(x^(27/13))")
 SEPARATORS = (" + ", "+", " +  ", "\t+ ")
 RATIONALS = ("1/2", "-5/3", "2", "0", "-1", "7/4", "+2", "-0/5", " 3 ",
              "1/0", "0/0", "abc", "1.5", "")

@@ -15,6 +15,10 @@ and a set of exponents, term by term, where the package works on
 integer grid indices.  The reference prime-power scan factors every
 integer by trial division and builds each row's verdicts afresh, where
 the package walks its sieve and shares the verdict values.
+Both census routes of the package read the group Z/(q - 1), so they
+rest on F_q^x being cyclic (Lidl and Niederreiter, Finite Fields,
+Thm 2.8); the field oracle does not: it builds F_q, multiplies in it
+and reads the group's exponent off its elements.
 
 The scalar action has two references.  One is the composition
 u**(p/q) = (u**p)**(1/q), a power by repeated products (of the
@@ -31,6 +35,7 @@ import re
 from bisect import bisect_left
 from collections import Counter
 from fractions import Fraction
+from itertools import product
 from math import lcm
 
 from f2puiseux import (DenominatorOverflow, ElementSyntaxError,
@@ -393,3 +398,79 @@ def reference_prime_power_scan(q_max: int, *, include_oracle: bool = True):
                 oracle = FqVerdict(False)
         rows.append((PrimePower(p, n), verdict, oracle))
     return rows
+
+
+# ---------------------------------------------------------------------------
+# field-level census oracle
+
+def _monic(p: int, d: int):
+    """Every monic polynomial of degree d over F_p as its coefficient
+    list, lowest first, in the order of their values at x = p."""
+    return ([*reversed(high), 1] for high in product(range(p), repeat=d))
+
+
+def _remainder(a: list, g: list, p: int) -> list:
+    """a mod the monic g over F_p, as len(g) - 1 coefficients."""
+    a, d = [*a, *[0] * (len(g) - 1 - len(a))], len(g) - 1
+    for i in range(len(a) - 1, d - 1, -1):
+        if c := a[i] % p:
+            for j, gj in enumerate(g):
+                a[i - d + j] -= c * gj
+    return [c % p for c in a[:d]]
+
+
+def first_irreducible(p: int, n: int) -> list:
+    """The first monic irreducible polynomial of degree n over F_p, by
+    trial division by every monic polynomial of degree 1 to n / 2."""
+    return next(f for f in _monic(p, n)
+                if all(any(_remainder(f, g, p))
+                       for d in range(1, n // 2 + 1) for g in _monic(p, d)))
+
+
+def field(p: int, n: int):
+    """(nonzero elements, one, product) of F_q, q = p**n: integers mod p
+    for n = 1, else coefficient lists modulo first_irreducible(p, n)."""
+    if n == 1:
+        return range(1, p), 1, lambda a, b: a * b % p
+    f = first_irreducible(p, n)
+
+    def mul(a, b):
+        out = [0] * (2 * n - 1)
+        for i, ai in enumerate(a):
+            for j, bj in enumerate(b):
+                out[i + j] += ai * bj
+        return _remainder(out, f, p)
+
+    elements = ([*c] for c in product(range(p), repeat=n) if any(c))
+    return elements, [1, *[0] * (n - 1)], mul
+
+
+def field_power(x, e: int, one, mul):
+    out = one
+    while e:
+        if e & 1:
+            out = mul(out, x)
+        x, e = mul(x, x), e >> 1
+    return out
+
+
+def field_oracle(p: int, n: int) -> FqVerdict:
+    """Is F_q^x, q = p**n, a linear space, read off F_q's own product.
+
+    An abelian group is a linear space over F_l exactly when it has
+    exponent l.  So, past the trivial group of q = 2, the answer is yes
+    exactly when q - 1 is a power of its least prime l and every
+    nonzero x has x**l = 1; the dimension is then log_l(q - 1).  No
+    step assumes that the group is cyclic.
+    """
+    q = p ** n
+    if q == 2:
+        return FqVerdict(True, None, 0)
+    ell = next(d for d in range(2, q) if (q - 1) % d == 0)
+    elements, one, mul = field(p, n)
+    if any(field_power(x, ell, one, mul) != one for x in elements):
+        return FqVerdict(False)
+    dim, rest = 0, q - 1
+    while rest % ell == 0:
+        dim, rest = dim + 1, rest // ell
+    return FqVerdict(True, ell, dim) if rest == 1 else FqVerdict(False)

@@ -10,7 +10,8 @@ import re
 import sys
 import tracemalloc
 from fractions import Fraction as Q
-from math import gcd
+from functools import partial
+from math import gcd, lcm
 
 import pytest
 from hypothesis import given, settings
@@ -18,8 +19,9 @@ from hypothesis import strategies as st
 
 from f2puiseux import (DenominatorOverflow, ElementSyntaxError,
                        ExponentNotIncreasing, F2Series, Indistinguishable,
-                       ParseError, PuiseuxUnit, compose, decompose_raw,
-                       format_unit, parse_element, textform)
+                       NonpositivePrecision, ParseError, PuiseuxUnit, compose,
+                       decompose_raw, format_element, format_unit,
+                       parse_element, textform)
 from f2puiseux.bitops import support_gcd
 from f2puiseux.textform import parse_rational
 from oracles import (reference_decompose_raw, reference_format_unit,
@@ -517,4 +519,139 @@ class TestParseMemory:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
+        assert peak < 2 << 20
+
+
+# ---------------------------------------------------------------------------
+# the den cap: the written denominators within it, and past it
+
+
+def _text(exps, aprec):
+    return " + ".join([*(f"x^({e})" for e in exps), f"O(x^({aprec}))"])
+
+
+class TestPastTheCap:
+    """While the lcm of the written denominators stays within the cap,
+    the unit grid divides it; past the cap the grid is grown from the
+    exponents relative to the lowest, which may still lie within it."""
+
+    _agree_raw = TestDecomposeRawAgainstReference._agree
+
+    def _both(self, exps, aprec, den_cap):
+        self._agree_raw(exps, aprec, den_cap=den_cap)
+        return _agree(_text(exps, aprec), den_cap=den_cap)
+
+    def test_answer_past_the_cap(self):
+        exps, aprec = [Q(1, 97), Q(98, 97)], Q(195, 97)
+        got = self._both(exps, aprec, 50)
+        assert got[4] == "x^(1/97) * 1 + x^(1) + O(x^(2))"
+        assert format_element(decompose_raw(exps, aprec, den_cap=50)) == got[4]
+
+    @pytest.mark.parametrize("exps,aprec,den_cap,den", [
+        # the first relative denominator past the cap at the second term
+        ((Q(1, 97), Q(2, 97), Q(99, 97)), Q(195, 97), 50, 97),
+        # at the last term
+        ((Q(1, 97), Q(98, 97), Q(2)), Q(3) + Q(1, 97), 50, 97),
+        # only in the precision term
+        ((Q(1, 97), Q(98, 97)), Q(3), 50, 97),
+        # relative denominators 3 and 4, each within the cap, their lcm not
+        ((Q(1, 97), Q(1, 97) + Q(1, 3), Q(1, 97) + Q(5, 4)),
+         Q(1, 97) + 2, 11, 12),
+    ])
+    def test_refusal_past_the_cap(self, exps, aprec, den_cap, den):
+        assert lcm(aprec.denominator, *(e.denominator for e in exps)) > den_cap
+        assert self._both(exps, aprec, den_cap) == (
+            DenominatorOverflow, None,
+            f"grid denominator {den} exceeds the cap {den_cap}")
+
+    @pytest.mark.parametrize("text,error,position", [
+        ("x^(1/97) + x^(3/97) + x^(2/97) + O(x^(5))",
+         ExponentNotIncreasing, 22),
+        ("x^(1/97) + x^(3/97) + x^(6/194) + O(x^(5))",
+         ExponentNotIncreasing, 22),
+        ("x^(1/97) + 1 + O(x^(5))", ExponentNotIncreasing, 11),
+        ("x^(1/97) + x^(3/97) + O(x^(3/97))", NonpositivePrecision, 11),
+        ("x^(1/97) + x^(1/0) + x^(3/97) + O(x^(5))", ElementSyntaxError, 11),
+        ("x^(1/97) + x^(2/97) + 1 + O(x^(5))", ExponentNotIncreasing, 22),
+        ("x^(1/97) + x^(2/97) +  + O(x^(5))", ElementSyntaxError, 21),
+    ])
+    def test_term_errors_win_past_the_cap(self, text, error, position):
+        got = _agree(text, den_cap=50)
+        assert got[:2] == (error, position)
+
+    def test_raw_errors_win_past_the_cap(self):
+        # a term at the precision, then a list that cancels to nothing
+        self._agree_raw([Q(1, 97), Q(3, 89), Q(5)], 5, den_cap=50)
+        with pytest.raises(ValueError, match="beyond the precision"):
+            decompose_raw([Q(1, 97), Q(3, 89), Q(5)], 5, den_cap=50)
+        exps = [Q(1, 97), Q(2, 89), Q(2, 89), Q(1, 97)]
+        self._agree_raw(exps, 5, den_cap=50)
+        with pytest.raises(Indistinguishable):
+            decompose_raw(exps, 5, den_cap=50)
+
+    @pytest.mark.parametrize("den_cap", (None, 100))
+    def test_farey_neighbours_in_any_order(self, den_cap):
+        # neighbours in the Farey sequence of order 12 lie 1/(d * d')
+        # apart, the least gap that decompose_raw's sort must resolve
+        exps = sorted({Q(n, d) for d in range(1, 13) for n in range(d)})
+        random.Random("farey").shuffle(exps)
+        self._agree_raw(exps, 1, den_cap=den_cap)
+
+    def test_both_sides_of_the_switch(self):
+        # a lowest exponent on a fine grid over relative exponents on a
+        # coarse one, under caps on both sides of either grid
+        seen = set()
+        rng = random.Random("switch")
+        for _ in range(400):
+            low = Q(rng.randint(-300, 300), rng.choice((1, 5, 13, 97, 1024)))
+            den = rng.choice((1, 2, 3, 4, 6, 13, 60))
+            rel = sorted({Q(rng.randint(1, 40), den)
+                          for _ in range(rng.randint(0, 6))})
+            aprec = low + max(rel, default=0) + Q(rng.randint(1, 9),
+                                                  rng.choice((1, den, 7)))
+            exps = [low, *(low + e for e in rel)]
+            den_cap = rng.randint(1, 120)
+            self._agree_raw(exps, aprec, den_cap=den_cap)
+            parts = [*map(partial(_exponent_text, rng), exps),
+                     f"O({_exponent_text(rng, aprec)})"]
+            got = _agree(_join(rng, parts), den_cap=den_cap)
+            big = lcm(aprec.denominator, *(e.denominator for e in exps))
+            seen.add((big > den_cap, got[0] is DenominatorOverflow))
+        # answers and refusals, with the written grid within and past the cap
+        assert seen == {(False, False), (True, False), (True, True)}
+
+
+def _primes_above(n, count):
+    sieve = bytearray([1]) * (12 * count + n)
+    for p in range(2, int(len(sieve) ** 0.5) + 1):
+        if sieve[p]:
+            sieve[p * p::p] = bytes(len(range(p * p, len(sieve), p)))
+    primes = [p for p in range(n + 1, len(sieve)) if sieve[p]][:count]
+    assert len(primes) == count
+    return primes
+
+
+class TestBoundedRefusal:
+    """4000 terms x^((i*p + 1)/p), each on its own prime p above 10007:
+    the unit grid is the product of the primes, 17753 digits long, and
+    the refusal comes before any index or bit on it exists."""
+
+    ERROR = "grid denominator <17753 digits> exceeds the cap 65536"
+    EXPS = [Q(i * p + 1, p)
+            for i, p in enumerate(_primes_above(10007, 4000), 1)]
+
+    @pytest.mark.parametrize("route", ("parse_element", "decompose_raw"))
+    def test_refused_in_small_memory(self, route):
+        if route == "parse_element":
+            call = partial(parse_element, _text(self.EXPS, 4002))
+        else:
+            call = partial(decompose_raw, self.EXPS, 4002)
+        tracemalloc.start()
+        try:
+            with pytest.raises(DenominatorOverflow) as info:
+                call()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert str(info.value) == self.ERROR
         assert peak < 2 << 20

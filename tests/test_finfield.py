@@ -4,7 +4,8 @@ from bisect import bisect_right
 
 import pytest
 
-from oracles import reference_prime_power_scan
+from oracles import (field, field_oracle, field_power, first_irreducible,
+                     reference_prime_power_scan)
 
 from f2puiseux import finfield
 from f2puiseux import (FqVerdict, OutOfRange, PrimePower,
@@ -436,3 +437,42 @@ class TestOracleBitSplit:
         want = FqVerdict(True, 2, 1) if q == 3 else FqVerdict(False)
         assert elementary_abelian_oracle(PrimePower(q, 1)) == want
         assert calls == [0, 2]
+
+
+class TestFieldOracle:
+    """Both census routes against an oracle that multiplies in F_q
+    itself and never assumes that F_q^x is cyclic."""
+
+    def test_both_routes_to_2_11(self):
+        rows = prime_power_scan(1 << 11)
+        assert len(rows) == len(reference_prime_power_scan(1 << 11))
+        for pp, verdict, oracle in rows:
+            want = field_oracle(pp.p, pp.n)
+            for got in (verdict, oracle):
+                assert (got.is_space, got.scalar_order, got.dim) == (
+                    want.is_space, want.scalar_order, want.dim), pp
+
+    @pytest.mark.parametrize("p,n", [(2, 2), (2, 3), (2, 8), (3, 2), (3, 4),
+                                     (5, 3), (7, 2), (31, 2)])
+    def test_fields_are_fields(self, p, n):
+        # every nonzero x has x**(q - 1) = 1 only when the modulus is
+        # irreducible: a factor of it would be a zero divisor
+        elements, one, mul = field(p, n)
+        assert all(field_power(x, p ** n - 1, one, mul) == one
+                   for x in elements)
+
+    def test_first_irreducibles(self):
+        # x^2 + x + 1, x^3 + x + 1, x^8 + x^4 + x^3 + x + 1 over F_2 and
+        # x^2 + 1 over F_3, coefficients lowest first
+        assert first_irreducible(2, 2) == [1, 1, 1]
+        assert first_irreducible(2, 3) == [1, 1, 0, 1]
+        assert first_irreducible(2, 8) == [1, 1, 0, 1, 1, 0, 0, 0, 1]
+        assert first_irreducible(3, 2) == [1, 0, 1]
+
+    @pytest.mark.parametrize("p,n,want", [
+        (2, 1, FqVerdict(True, None, 0)), (3, 1, FqVerdict(True, 2, 1)),
+        (2, 2, FqVerdict(True, 3, 1)), (2, 7, FqVerdict(True, 127, 1)),
+        (3, 2, FqVerdict(False)), (2, 4, FqVerdict(False)),
+        (17, 1, FqVerdict(False))])
+    def test_small_fields(self, p, n, want):
+        assert field_oracle(p, n) == want
