@@ -16,22 +16,24 @@ confront the two.  Primality of Mersenne candidates is likewise
 checked twice, by trial division and by the Lucas-Lehmer sequence.
 
 `prime_power_scan` takes its rows from one store of every prime power,
-kept for the life of the process and ascending by q: a scan takes a
-prefix of it, and extends it first only past the largest q any scan
-has reached.  A growth reads the new primes off the sieve (2 by hand,
-the odd candidates through a strided memoryview) and the new proper
-powers p**n from the primes p <= sqrt(q_max).  It allocates their rows
-in one `map` of `object.__new__`, fills each slot through its member
-descriptor in another, and orders the new rows by q once; a growth
-that finds no new row leaves the store as it is.  Rows are built
-without the constructor's primality check, since p comes off the
+the module's one table, kept for the life of the process and ascending
+by q: a scan takes a prefix of it, and extends it first only past the
+largest q any scan has reached.  A growth sieves to q_max in a table of
+its own, dropped when the growth ends, and reads off it the new primes
+(2 by hand, the odd candidates through a strided memoryview) and the
+new proper powers p**n from the primes p <= sqrt(q_max).  It allocates
+their rows in one `map` of `object.__new__`, fills each slot through
+its member descriptor in another, and orders the new rows by q once; a
+growth that finds no new row leaves the store as it is.  Rows are
+built without the constructor's primality check, since p comes off the
 sieve; they are frozen, so scans share them as safely as both routes
 share the "no" and the trivial answer.  Both routes still run on every
 row of every scan.  The oracle splits the power of 2 off an even q - 1
 by its lowest set bit and reduces every element of the cyclic group in
 one C-level `map`, so a row costs little beyond its two verdicts.
-Trial division tries no divisor above the desk-scale limit and raises
-OutOfRange instead.
+The constructor refuses a p above the desk-scale limit and checks any
+other by trial division, at most 1024 odd divisors.  Trial division
+tries no divisor above that limit and raises OutOfRange instead.
 """
 
 from __future__ import annotations
@@ -49,46 +51,13 @@ from .errors import OutOfRange, _brief
 # primality is desk-scale by design; the scan bound keeps runs instant
 _DESK_LIMIT = 1 << 22
 
-_sieve = bytearray(b"\x00\x00\x01\x01")  # primality table, index <= len-1
 # the row of every prime power up to the last one's q, ascending; only
 # prime_power_scan grows it
 _rows: list[PrimePower] = []
-# one grower at a time, so neither table is replaced by a smaller one;
-# readers take whichever is bound, as each is published by one rebinding
+# one grower at a time, so the store is never replaced by a smaller one;
+# readers take whichever is bound, as it is published by one rebinding
 _growing = Lock()
 _q = attrgetter("q")
-
-
-def _grow_sieve(limit: int) -> None:
-    global _sieve
-    if limit < len(_sieve):
-        return
-    with _growing:
-        if limit < len(_sieve):
-            return
-        # never past the desk limit, so any index below len(_sieve) is
-        # in range
-        size = min(max(limit + 1, 2 * len(_sieve), 1 << 11),
-                   _DESK_LIMIT + 1)
-        table = bytearray(b"\x01") * size
-        table[0:2] = b"\x00\x00"
-        for i in range(2, isqrt(size - 1) + 1):
-            if table[i]:
-                table[i * i::i] = bytearray(len(range(i * i, size, i)))
-        _sieve = table
-
-
-def is_prime(n: int) -> bool:
-    """Deterministic primality at desk scale (sieve-backed trial table)."""
-    if 1 < n < len(_sieve):
-        return _sieve[n] == 1
-    if n < 2:
-        return False
-    if n > _DESK_LIMIT:
-        raise OutOfRange(
-            f"primality of {_brief(n)} is beyond the desk-scale limit")
-    _grow_sieve(n)
-    return bool(_sieve[n])
 
 
 def trial_division_prime(n: int) -> bool:
@@ -138,7 +107,10 @@ class PrimePower(Value):
     def __init__(self, p: int, n: int):
         if n < 1:
             raise ValueError(f"exponent must be >= 1, got {_brief(n)}")
-        if not is_prime(p):
+        if p > _DESK_LIMIT:
+            raise OutOfRange(
+                f"primality of {_brief(p)} is beyond the desk-scale limit")
+        if not trial_division_prime(p):
             raise ValueError(f"{_brief(p)} is not prime")
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "n", n)
@@ -248,7 +220,7 @@ def prime_power_scan(q_max: int, *, include_oracle: bool = True
     if q_max < 2:
         raise ValueError("q_max must be >= 2")
     if q_max > _DESK_LIMIT:
-        # checked before the sieve grows: it takes a byte per integer
+        # checked before a growth sieves: it takes a byte per integer
         raise OutOfRange(
             f"q_max = {_brief(q_max)} exceeds the desk-scale limit "
             f"{_DESK_LIMIT}")
@@ -265,38 +237,46 @@ def _rows_to(q_max: int) -> list[PrimePower]:
     it stops short."""
     global _rows
     rows = _rows
-    if not rows or rows[-1].q < q_max:
-        _grow_sieve(q_max)
-        with _growing:
-            rows = _rows
-            top = rows[-1].q + 1 if rows else 2
-            # the primes: 2 by hand, then the odd candidates only; a
-            # prime's row keeps p and q as one int object
-            ps = [2] if top == 2 else []
-            odd = top | 1
-            ps += compress(range(odd, q_max + 1, 2),
-                           memoryview(_sieve)[odd:q_max + 1:2])
-            qs = ps.copy()
-            ns = [1] * len(ps)
-            # the proper powers p**n (n >= 2), so p <= isqrt(q_max)
-            root = isqrt(q_max)
-            for p in compress(range(root + 1), memoryview(_sieve)[:root + 1]):
-                q, n = p * p, 2
-                while q <= q_max:
-                    if q >= top:
-                        ps.append(p)
-                        ns.append(n)
-                        qs.append(q)
-                    q *= p
-                    n += 1
-            if qs:
-                # allocate every row, then fill each slot through its
-                # member descriptor, all in C
-                made = list(map(object.__new__, repeat(PrimePower, len(qs))))
-                deque(map(PrimePower.p.__set__, made, ps), 0)
-                deque(map(PrimePower.n.__set__, made, ns), 0)
-                deque(map(PrimePower.q.__set__, made, qs), 0)
-                made.sort(key=_q)
-                rows = rows + made
-                _rows = rows
+    if rows and rows[-1].q >= q_max:
+        return rows
+    with _growing:
+        rows = _rows
+        top = rows[-1].q + 1 if rows else 2
+        if top > q_max:
+            return rows
+        # this growth's own sieve, freed before the rows are built
+        sieve = bytearray(b"\x01") * (q_max + 1)
+        sieve[:2] = b"\x00\x00"
+        root = isqrt(q_max)
+        for i in range(2, root + 1):
+            if sieve[i]:
+                sieve[i * i::i] = bytes(len(range(i * i, q_max + 1, i)))
+        # the primes: 2 by hand, then the odd candidates only; a prime's
+        # row keeps p and q as one int object
+        ps = [2] if top == 2 else []
+        odd = top | 1
+        ps += compress(range(odd, q_max + 1, 2), memoryview(sieve)[odd::2])
+        qs = ps.copy()
+        ns = [1] * len(ps)
+        # the proper powers p**n (n >= 2), so p <= isqrt(q_max)
+        for p in compress(range(root + 1), sieve):
+            q, n = p * p, 2
+            while q <= q_max:
+                if q >= top:
+                    ps.append(p)
+                    ns.append(n)
+                    qs.append(q)
+                q *= p
+                n += 1
+        del sieve
+        if qs:
+            # allocate every row, then fill each slot through its member
+            # descriptor, all in C
+            made = list(map(object.__new__, repeat(PrimePower, len(qs))))
+            deque(map(PrimePower.p.__set__, made, ps), 0)
+            deque(map(PrimePower.n.__set__, made, ns), 0)
+            deque(map(PrimePower.q.__set__, made, qs), 0)
+            made.sort(key=_q)
+            rows = rows + made
+            _rows = rows
     return rows

@@ -296,11 +296,16 @@ def _plan(nums, dens, pn: int, pd: int,
     is the lcm of the reduced denominators of the exponents less the
     lowest, the valuation.  While big, the lcm of all denominators, is
     within the cap, it is big over one gcd on the grid 1/big; past it,
-    it grows term by term and is checked before any index exists.
+    where big is built only until it passes, it grows term by term and
+    is checked before any index exists.
     """
     nums, dens = [*nums, pn], [*dens, pd]  # the precision last
     den_of = {d: 1 if d is None else int(d) for d in set(dens)}
-    big = lcm(*den_of.values())
+    big = 1
+    for d in den_of.values():
+        big = lcm(big, d)
+        if den_cap is not None and big > den_cap:
+            break
     if den_cap is None or big <= den_cap:
         scale = {d: big // n for d, n in den_of.items()}
         indices = list(map(mul, map(int, nums), map(scale.__getitem__, dens)))

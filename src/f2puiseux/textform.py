@@ -125,11 +125,14 @@ def _walk(body: str, factored: bool, pn: int, pd: int):
     return nums, dens
 
 
-def _read(s: str, den_cap: int | None = DEFAULT_DEN_CAP) -> L0Element:
-    """The element text s stands for.  The tail O(x^(P)) and the
-    valuation factor are read first, then the body by one regex split; a
-    body the split or _plan rejects is walked one term at a time, and
-    the first bad term raises its positioned error."""
+def parse_element(s: str, *,
+                  den_cap: int | None = DEFAULT_DEN_CAP) -> L0Element:
+    """Parse element text into its canonical factored form.
+
+    The tail O(x^(P)) and the valuation factor are read first, then the
+    body by one regex split; a body the split or _plan rejects is walked
+    one term at a time, and the first bad term raises its positioned
+    error."""
     try:
         cut = s.rfind("+")
         lead = len(s) - len(s.lstrip())  # where the first term starts
@@ -181,12 +184,6 @@ def _read(s: str, den_cap: int | None = DEFAULT_DEN_CAP) -> L0Element:
             raise ElementSyntaxError("empty term", empty.start()) from None
         raise
     return compose(val + a.val, a.unit) if val else a
-
-
-def parse_element(s: str, *,
-                  den_cap: int | None = DEFAULT_DEN_CAP) -> L0Element:
-    """Parse element text into its canonical factored form."""
-    return _read(s, den_cap)
 
 
 def parse_unit(s: str, *,

@@ -14,7 +14,8 @@ rounds.  The reference text codec parses, factors and formats with exact Fractio
 and a set of exponents, term by term, where the package works on
 integer grid indices.  The reference prime-power scan factors every
 integer by trial division and builds each row's verdicts afresh, where
-the package walks its sieve and shares the verdict values.
+the package sieves once per growth of its row store and shares the
+verdict values.
 Both census routes of the package read the group Z/(q - 1), so they
 rest on F_q^x being cyclic (Lidl and Niederreiter, Finite Fields,
 Thm 2.8); the field oracle does not: it builds F_q, multiplies in it

@@ -13,13 +13,13 @@ sides of each comb cutoff and of the window switch, checks one 4-bit
 comb product at stride 3 against schoolbook convolution, and checks the
 element reader against the reference parser on wire-shaped texts:
 well-formed, with each defect of the benchmark's malformed inputs and
-with an empty term.  From the smallest sieve and an empty store of
-prime-power rows, it grows the store one q_max at a time (2 to 40,
-8190 to 8194, and 2**16 - 1 to 2**16 + 1), which reads the sieve
-through a strided memoryview and fills each row's slots through their
-member descriptors, and checks each step's scan against the reference
-scan, the stored q's against the reference's prime powers, and each
-stored row against one from the public constructor.  It
+with an empty term.  From an empty store of prime-power rows, it
+grows the store one q_max at a time (2 to 40, 8190 to 8194, and
+2**16 - 1 to 2**16 + 1); each growth sieves to its q_max, reads the
+sieve through a strided memoryview and fills each row's slots through
+their member descriptors.  It checks each step's scan against the
+reference scan, the stored q's against the reference's prime powers,
+and each stored row against one from the public constructor.  It
 checks the field scan against the reference scan around 2**13, with
 and without the oracle, its rows against rows from the public
 constructor, and the oracle at q = 2**13, 2**17 and 2**18.  It
@@ -250,17 +250,16 @@ def row(pp):
 
 
 def census():
-    # from the smallest sieve and an empty row store, the store grown
-    # one q_max at a time across the edges of its growth (2 is taken
-    # apart, the odd candidates are read with a stride, the proper
-    # powers come from the primes up to the root): each step's scan
+    # from an empty row store, the store grown one q_max at a time
+    # across the edges of its growth (2 is taken apart, the odd
+    # candidates are read with a stride, the proper powers come from
+    # the primes up to the root): each step's scan
     # against the reference, the store's rows against the reference's
     # prime powers and against constructed rows.  Then scans with and
     # without the oracle against the reference, the scan's rows against
     # constructed ones, and the oracle's walk over the 8191 and 131071
     # elements of two Mersenne orders; the descending scans take
     # prefixes of the stored rows
-    finfield._sieve = bytearray(b"\x00\x00\x01\x01")
     finfield._rows = []
     steps = [*range(2, 41), *range(8190, 8195),
              (1 << 16) - 1, 1 << 16, (1 << 16) + 1]

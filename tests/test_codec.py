@@ -21,7 +21,7 @@ from f2puiseux import (DenominatorOverflow, ElementSyntaxError,
                        ExponentNotIncreasing, F2Series, Indistinguishable,
                        NonpositivePrecision, ParseError, PuiseuxUnit, compose,
                        decompose_raw, format_element, format_unit,
-                       parse_element, textform)
+                       parse_element, puiseux, textform)
 from f2puiseux.bitops import support_gcd
 from f2puiseux.textform import parse_rational
 from oracles import (reference_decompose_raw, reference_format_unit,
@@ -438,10 +438,10 @@ class TestLongTextsAgainstReference:
         texts = [_join_wide(rng, _long_parts(rng, form, terms))
                  for terms in (1, 2, 5, 300)]
         texts += [_join(rng, _element_parts(rng, form)) for _ in range(50)]
-        want = [textform._read(text) for text in texts]
+        want = [parse_element(text) for text in texts]
         monkeypatch.setattr(textform, "_BODY_TERM", re.compile(r"(?!)"))
         for text, read in zip(texts, want):
-            assert textform._read(text) == read
+            assert parse_element(text) == read
             assert not isinstance(_agree(text)[0], type)
 
     @pytest.mark.parametrize("text,position", [
@@ -655,3 +655,23 @@ class TestBoundedRefusal:
             tracemalloc.stop()
         assert str(info.value) == self.ERROR
         assert peak < 2 << 20
+
+    @pytest.mark.parametrize("call", (
+        lambda exps: parse_element(_text(exps, 4002)),
+        lambda exps: decompose_raw(exps, 4002)),
+        ids=("parse_element", "decompose_raw"))
+    def test_written_grid_stops_past_the_cap(self, call, monkeypatch):
+        # the lcm of the written denominators stops at its first partial
+        # product past the cap, two primes and perhaps the 1 in; only
+        # the unit grid takes every term and the precision
+        sizes = []
+
+        def counting_lcm(*args):
+            sizes.append(len(args))
+            return lcm(*args)
+
+        monkeypatch.setattr(puiseux, "lcm", counting_lcm)
+        with pytest.raises(DenominatorOverflow) as info:
+            call(self.EXPS)
+        assert str(info.value) == self.ERROR
+        assert sizes[-1] == 4001 and sizes[:-1] in ([2, 2], [2, 2, 2])

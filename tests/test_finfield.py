@@ -70,9 +70,6 @@ class TestPrimePower:
                 (lambda: PrimePower(10 ** 5000 + 1, 1), OutOfRange,
                  "primality of <5001 digits> is beyond the desk-scale "
                  "limit"),
-                (lambda: finfield.is_prime(10 ** 5000 + 1), OutOfRange,
-                 "primality of <5001 digits> is beyond the desk-scale "
-                 "limit"),
                 (lambda: prime_power_scan(10 ** 5000), OutOfRange,
                  f"q_max = <5001 digits> exceeds the desk-scale limit "
                  f"{finfield._DESK_LIMIT}"),
@@ -91,7 +88,7 @@ class TestPrimePower:
             PrimePower(4, 1)
         with pytest.raises(OutOfRange,
                            match=f"^primality of {10 ** 39 + 1} is beyond"):
-            finfield.is_prime(10 ** 39 + 1)
+            PrimePower(10 ** 39 + 1, 1)
 
     def test_from_q_beyond_trial_division(self):
         # an even q needs no trial division; 2^61 - 1 is a prime whose
@@ -127,7 +124,10 @@ class TestMersenneExponent:
             assert lucas_lehmer(r) == trial_division_prime(m)
 
     def test_trial_division_matches_sieve(self):
-        assert all(trial_division_prime(n) == finfield.is_prime(n)
+        # the primes below 5000 are the stored rows with n == 1, read
+        # off the sieve of the store's growth
+        primes = {pp.p for pp, _, _ in prime_power_scan(4999) if pp.n == 1}
+        assert all(trial_division_prime(n) == (n in primes)
                    for n in range(5000))
 
     def test_trial_division_stops_at_the_desk_limit(self):
@@ -240,46 +240,48 @@ class TestScan:
             prime_power_scan(1)
 
     def test_qmax_above_desk_limit_rejected_before_sieve_grows(self):
-        size = len(finfield._sieve)
         stored = finfield._rows
         with pytest.raises(OutOfRange):
             prime_power_scan(10_000_000_000)
-        with pytest.raises(OutOfRange):
-            prime_power_scan(finfield._DESK_LIMIT + 1, include_oracle=False)
-        assert len(finfield._sieve) == size
         assert finfield._rows is stored
 
 
 class TestSieveCap:
-    # one doubling past 2^22 - 20 used to build a table of 8 388 570
-    # bytes, twice what the desk limit needs
-    @pytest.fixture
-    def grown(self, monkeypatch):
-        monkeypatch.setattr(finfield, "_sieve",
-                            bytearray(b"\x00\x00\x01\x01"))
-        finfield._grow_sieve(finfield._DESK_LIMIT - 20)
-        finfield._grow_sieve(finfield._DESK_LIMIT)
+    """The desk-scale limit bounds the store's growth and the
+    constructor's primality check."""
 
-    def test_growth_stops_at_the_desk_limit(self, grown):
-        assert len(finfield._sieve) <= finfield._DESK_LIMIT + 1
-
-    def test_above_the_desk_limit_still_raises(self, grown):
-        # is_prime answers from the table for any index inside it
-        assert finfield.is_prime(finfield._DESK_LIMIT - 3)
+    def test_growth_stops_at_the_desk_limit(self):
+        stored = finfield._rows
         with pytest.raises(OutOfRange):
-            finfield.is_prime(finfield._DESK_LIMIT + 1)
+            prime_power_scan(finfield._DESK_LIMIT + 1, include_oracle=False)
+        assert finfield._rows is stored
+
+    def test_above_the_desk_limit_still_raises(self, monkeypatch):
+        # refused before any trial division; 4194301 is the largest
+        # prime at or below 2^22, and 2^22 - 1 = 3 * 23 * 89 * 683
+        def no_trial_division(n):
+            raise AssertionError(f"trial division of {n}")
+
+        assert PrimePower(4194301, 1).q == 4194301
+        with pytest.raises(ValueError, match="^4194303 is not prime$"):
+            PrimePower(4194303, 1)
+        monkeypatch.setattr(finfield, "trial_division_prime",
+                            no_trial_division)
+        with pytest.raises(OutOfRange) as info:
+            PrimePower(finfield._DESK_LIMIT + 1, 1)
+        assert str(info.value) == (
+            f"primality of {finfield._DESK_LIMIT + 1} is beyond the "
+            f"desk-scale limit")
 
 
 class TestScanAgainstReference:
     """The scan takes a prefix of the stored prime-power rows and shares
     verdict values; the reference factors every integer in turn and
-    builds each row afresh.  Each test starts from the smallest sieve
-    and an empty row store, so the scans also grow both on the way."""
+    builds each row afresh.  Each test starts from an empty row store,
+    so the scans also grow it on the way."""
 
     @pytest.fixture(autouse=True)
-    def fresh_sieve(self, monkeypatch):
-        monkeypatch.setattr(finfield, "_sieve",
-                            bytearray(b"\x00\x00\x01\x01"))
+    def empty_store(self, monkeypatch):
         monkeypatch.setattr(finfield, "_rows", [])
 
     @pytest.mark.parametrize("include_oracle", [True, False])
@@ -336,19 +338,13 @@ class TestPrimeRowStore:
         for pp in finfield._rows:
             assert row(pp) == row(PrimePower(pp.p, pp.n)), pp
 
-    def test_sieve_growth_adds_no_rows(self, monkeypatch):
-        monkeypatch.setattr(finfield, "_sieve",
-                            bytearray(b"\x00\x00\x01\x01"))
-        assert finfield.is_prime(4_000_037)
+    def test_primality_check_adds_no_rows(self):
         assert PrimePower(4_000_037, 1).q == 4_000_037
-        assert len(finfield._sieve) > 4_000_037
         assert finfield._rows == []
 
-    def test_concurrent_scans_from_an_empty_store(self, monkeypatch):
+    def test_concurrent_scans_from_an_empty_store(self):
         # more threads than cores, switching as often as the interpreter
-        # allows, all released at once onto an empty store and sieve
-        monkeypatch.setattr(finfield, "_sieve",
-                            bytearray(b"\x00\x00\x01\x01"))
+        # allows, all released at once onto an empty store
         q_maxes = (70000, 2, 4096, 30000, 32768, 65537, 69999, 50000)
         want = reference_prime_power_scan(max(q_maxes))
         start = threading.Barrier(len(q_maxes))
@@ -396,12 +392,10 @@ class TestPrimeRowStore:
         for (a, _, _), (b, _, _) in zip(first, second):
             assert a is b, a
 
-    def test_growth_by_single_steps_across_parity_edges(self, monkeypatch):
+    def test_growth_by_single_steps_across_parity_edges(self):
         # 2 is taken apart from the odd candidates, so each step starts
         # on an even or an odd top and ends on a prime, a proper power
         # or neither
-        monkeypatch.setattr(finfield, "_sieve",
-                            bytearray(b"\x00\x00\x01\x01"))
         steps = [*range(2, 41), *range(8190, 8195),
                  (1 << 16) - 1, 1 << 16, (1 << 16) + 1]
         for q_max in steps:
