@@ -24,7 +24,8 @@ its own, dropped when the growth ends, and reads off it the new primes
 new proper powers p**n from the primes p <= sqrt(q_max).  It allocates
 their rows in one `map` of `object.__new__`, fills each slot through
 its member descriptor in another, and orders the new rows by q once; a
-growth that finds no new row leaves the store as it is.  Rows are
+growth publishes its q_max with the rows, even if none is new, so no
+scan up to it sieves again.  Rows are
 built without the constructor's primality check, since p comes off the
 sieve; they are frozen, so scans share them as safely as both routes
 share the "no" and the trivial answer.  Both routes still run on every
@@ -51,9 +52,9 @@ from .errors import OutOfRange, _brief
 # primality is desk-scale by design; the scan bound keeps runs instant
 _DESK_LIMIT = 1 << 22
 
-# the row of every prime power up to the last one's q, ascending; only
-# prime_power_scan grows it
-_rows: list[PrimePower] = []
+# the q_max it was grown to, and the row of every prime power up to it,
+# ascending; only prime_power_scan grows it
+_store: tuple[int, list[PrimePower]] = (1, [])
 # one grower at a time, so the store is never replaced by a smaller one;
 # readers take whichever is bound, as it is published by one rebinding
 _growing = Lock()
@@ -235,15 +236,15 @@ def prime_power_scan(q_max: int, *, include_oracle: bool = True
 def _rows_to(q_max: int) -> list[PrimePower]:
     """The store of rows, grown first to every prime power <= q_max if
     it stops short."""
-    global _rows
-    rows = _rows
-    if rows and rows[-1].q >= q_max:
+    global _store
+    reach, rows = _store
+    if reach >= q_max:
         return rows
     with _growing:
-        rows = _rows
-        top = rows[-1].q + 1 if rows else 2
-        if top > q_max:
+        reach, rows = _store
+        if reach >= q_max:
             return rows
+        top = reach + 1
         # this growth's own sieve, freed before the rows are built
         sieve = bytearray(b"\x01") * (q_max + 1)
         sieve[:2] = b"\x00\x00"
@@ -278,5 +279,5 @@ def _rows_to(q_max: int) -> list[PrimePower]:
             deque(map(PrimePower.q.__set__, made, qs), 0)
             made.sort(key=_q)
             rows = rows + made
-            _rows = rows
+        _store = q_max, rows
     return rows

@@ -30,11 +30,12 @@ Values are immutable and every operation is a pure function.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections import Counter, deque
 from fractions import Fraction
-from itertools import islice, repeat
+from itertools import compress as sift, count, islice, repeat  # not bitops'
 from math import gcd, lcm
-from operator import floordiv, lt, mul, sub
+from operator import floordiv, ge, mul, sub
 from typing import Iterable, Union
 
 from . import series
@@ -289,7 +290,9 @@ def decompose_raw(exponents: Iterable[RationalLike], aprec: RationalLike, *,
 def _plan(nums, dens, pn: int, pd: int,
           den_cap: int | None) -> L0Element | None:
     """x**val * unit for the terms x**(nums[i]/dens[i]) + O(x**(pn/pd)),
-    or None unless the exponents ascend strictly below the precision.
+    or, unless the exponents ascend strictly below the precision, the
+    index of the first bad term: the first of the rising prefix at or
+    past the precision, else the first that does not rise.
 
     nums and dens are ints or numerals, a denominator None for 1.  The
     unit's grid, minimal so the constructor's stride test is skipped,
@@ -309,16 +312,21 @@ def _plan(nums, dens, pn: int, pd: int,
     if den_cap is None or big <= den_cap:
         scale = {d: big // n for d, n in den_of.items()}
         indices = list(map(mul, map(int, nums), map(scale.__getitem__, dens)))
-        if not all(map(lt, indices, islice(indices, 1, None))):
-            return None
+        ends = sift(indices, map(ge, indices, islice(indices, 1, None)))
+        top = next(ends, None)  # the last of the rising prefix, if it ends
+        if top is not None:
+            return bisect_left(indices, indices[-1], 0, indices.index(top) + 1)
         prec, low = indices.pop(), indices[0]
         g = gcd(big, prec - low, *map(sub, indices, repeat(low)))
         val, den = Fraction(low, big), big // g
     else:
         nums, dens = [*map(int, nums)], [*map(den_of.__getitem__, dens)]
-        if not all(map(lt, map(mul, nums, islice(dens, 1, None)),
-                       map(mul, islice(nums, 1, None), dens))):
-            return None
+        falls = map(ge, map(mul, nums, islice(dens, 1, None)),
+                    map(mul, islice(nums, 1, None), dens))
+        stop = next(sift(count(1), falls), None)
+        if stop is not None:
+            return bisect_left(range(stop), True, key=lambda t:
+                               nums[t] * dens[-1] >= nums[-1] * dens[t])
         # each exponent less the lowest, the precision last, is r / q
         rs = [n * dens[0] - nums[0] * d for n, d in zip(nums, dens)]
         qs = [d * dens[0] for d in dens]

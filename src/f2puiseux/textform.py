@@ -23,8 +23,11 @@ denominators, is within the den cap, n/d becomes the index
 n * (big // d) on the grid 1/big, where an unreduced fraction lands on
 its reduced form's index, and one pass checks that the indices rise to
 the precision; past the cap, cross-multiplication checks the exponents.
-A body that fails any of this is walked one term at a time, and the
-first bad term raises its positioned error before the den cap is
+A refused body is not walked whole: _plan names the first bad term
+(the first that does not rise, or a bisection finds an earlier one at
+or past the precision), and a term the split skips or _plan cannot
+convert ends that search early.  The walk reads the bad term and the
+one before it and raises the positioned error, before the den cap is
 checked; an empty term outranks every other error.  Every numeral
 outside the split is read by one reader, _numerals: the walk, the
 precision marker, the valuation factor and parse_rational.  Formatting
@@ -37,6 +40,7 @@ from __future__ import annotations
 import re
 import sys
 from fractions import Fraction
+from itertools import compress, count
 from math import gcd
 
 from .bitops import bit_indices
@@ -95,11 +99,12 @@ def parse_rational(text: str) -> Rational:
     return Fraction(num, den)
 
 
-def _walk(body: str, factored: bool, pn: int, pd: int):
+def _walk(body: str, factored: bool, pn: int, pd: int, offset: int = 0):
     """Numerators and denominators of the "+"-separated terms of body,
     read one at a time below the precision pn/pd; the first bad term
-    raises.  A factored body starts with the 1 read with the factor."""
-    nums, dens, off = [], [], 0
+    raises at its position, offset by offset.  A factored body starts
+    with the 1 read with the factor."""
+    nums, dens, off = [], [], offset
     for chunk in body.split("+"):
         pos = off + len(chunk) - len(chunk.lstrip())
         off += len(chunk) + 1
@@ -125,14 +130,24 @@ def _walk(body: str, factored: bool, pn: int, pd: int):
     return nums, dens
 
 
+def _unconvertible(num, den) -> bool:
+    """Whether _plan cannot convert a term's numerals: a second 1, a zero
+    denominator or an over-long numeral."""
+    try:
+        int(num)  # None for a second 1
+        return not int(den or 1)
+    except (TypeError, ValueError):
+        return True
+
+
 def parse_element(s: str, *,
                   den_cap: int | None = DEFAULT_DEN_CAP) -> L0Element:
     """Parse element text into its canonical factored form.
 
     The tail O(x^(P)) and the valuation factor are read first, then the
-    body by one regex split; a body the split or _plan rejects is walked
-    one term at a time, and the first bad term raises its positioned
-    error."""
+    body by one regex split; for a body the split or _plan rejects, the
+    walk reads the first bad term and the one before it, and the bad
+    term raises its positioned error."""
     try:
         cut = s.rfind("+")
         lead = len(s) - len(s.lstrip())  # where the first term starts
@@ -162,20 +177,34 @@ def parse_element(s: str, *,
                 raise NonUnitLeadingTerm(
                     f"unit part must start with 1, got {one!r}", star + 1)
         # per term: the text before it (empty when the terms are adjacent),
-        # then its three groups; the split holds the body when the last
-        # term it cuts out ends at the last "+"
+        # then its three groups; the split reads the n terms before the
+        # first nonempty text, and holds the body if no "+" follows them
         parts = _BODY_TERM.split(s[star + 1:].lstrip())
-        a = None
-        if not any(parts[:-1:4]) and "+" not in parts[-1]:
-            nums, dens = parts[2::4], parts[3::4]
-            del parts  # four entries per term: free them before converting
-            try:
-                if None in nums:  # the term 1, read as x^0
-                    nums[nums.index(None)] = "0"
-                a = _plan(nums, dens, pn, pd, den_cap)
-            except (ValueError, TypeError, ZeroDivisionError):
-                pass  # an over-long numeral, a second 1 or a zero denominator
+        heads = parts[:-1:4]
+        n = next(compress(count(), heads)) if any(heads) else len(heads)
+        holds = n == len(heads) and "+" not in parts[-1]
+        nums, dens = parts[2:4 * n:4], parts[3:4 * n:4]
+        del parts, heads  # free the split's entries before converting
+        if None in nums:  # the term 1, read as x^0
+            nums[nums.index(None)] = "0"
+        try:
+            a = _plan(nums, dens, pn, pd, den_cap) if holds else None
+        except (ValueError, TypeError, ZeroDivisionError):
+            a = None  # an over-long numeral, a second 1 or a zero denominator
         if a is None:
+            # the terms the split read before the first _plan cannot
+            # convert, then a term at the precision, refused at the latest
+            j = next(compress(count(), map(_unconvertible, nums, dens)),
+                     len(nums))
+            a = _plan([*nums[:j], pn], [*dens[:j], pd], pn, pd, den_cap)
+        if type(a) is int:
+            # a is the first bad term: the walk reads it and the one before
+            # and raises; should it return, as behind a swapped split, the
+            # walk reads every term
+            r = max(a - 1, 0)
+            pieces = s[:cut].split("+", a + 1)
+            _walk("+".join(pieces[r:a + 1]), star >= 0 and not r, pn, pd,
+                  sum(map(len, pieces[:r])) + r)
             a = _plan(*_walk(s[:cut], star >= 0, pn, pd), pn, pd, den_cap)
     except ParseError:
         # an empty term outranks every other error

@@ -13,20 +13,21 @@ sides of each comb cutoff and of the window switch, checks one 4-bit
 comb product at stride 3 against schoolbook convolution, and checks the
 element reader against the reference parser on wire-shaped texts:
 well-formed, with each defect of the benchmark's malformed inputs and
-with an empty term.  From an empty store of prime-power rows, it
-grows the store one q_max at a time (2 to 40, 8190 to 8194, and
-2**16 - 1 to 2**16 + 1); each growth sieves to its q_max, reads the
-sieve through a strided memoryview and fills each row's slots through
-their member descriptors.  It checks each step's scan against the
-reference scan, the stored q's against the reference's prime powers,
-and each stored row against one from the public constructor.  It
-checks the field scan against the reference scan around 2**13, with
-and without the oracle, its rows against rows from the public
-constructor, and the oracle at q = 2**13, 2**17 and 2**18.  It
-checks each of the seven value types for its repr, equality with a
-twin, its hash or unhashability, and copy, deepcopy and pickle round
-trips.  It also runs the first 200 seeded command
-lines of tests/argv_fuzz.py, which the Tier-1 suite runs 1000 of, and
+with an empty term, with a bad term 0 or 1 (where the reader's walk
+starts at the text's first term), and past the den cap.  From an
+empty store of prime-power rows, it grows the store one q_max at a
+time (2 to 40, 8190 to 8194, and 2**16 - 1 to 2**16 + 1); each growth
+sieves to its q_max, reads the sieve through a strided memoryview and
+fills each row's slots through their member descriptors.  It checks
+each step's scan against the reference scan, the stored q's against
+the reference's prime powers, and each stored row against one from
+the public constructor.  It checks the field scan against the
+reference scan around 2**13, with and without the oracle, its rows
+against rows from the public constructor, and the oracle at q = 2**13,
+2**17 and 2**18.  It checks each of the seven value types for its
+repr, equality with a twin, its hash or unhashability, and copy,
+deepcopy and pickle round trips.  It also runs the first 200 seeded
+command lines of tests/argv_fuzz.py, which the Tier-1 suite runs 1000 of, and
 checks that each ends in output, one diagnostic or a usage error,
 never a traceback, and that importing the command loads neither
 `dataclasses` nor `inspect`.
@@ -48,10 +49,10 @@ from fractions import Fraction
 from pathlib import Path
 from unittest import mock
 
-from f2puiseux import (AxiomCheck, AxiomReport, F2Series, FqVerdict,
-                       L0Element, ParseError, PrimePower, PuiseuxUnit,
-                       bitops, elementary_abelian_oracle, parse_element,
-                       prime_power_scan, series)
+from f2puiseux import (AxiomCheck, AxiomReport, DenominatorOverflow,
+                       F2Series, FqVerdict, L0Element, ParseError, PrimePower,
+                       PuiseuxUnit, bitops, elementary_abelian_oracle,
+                       parse_element, prime_power_scan, series)
 from f2puiseux import finfield
 from f2puiseux.cli import main
 
@@ -174,10 +175,11 @@ def comb_stride3():
     return 1, [] if ok else [(a.bit_length(), b.bit_length(), 3)]
 
 
-def wire_text(rng, defect, blanks):
+def wire_text(rng, defect, blanks, at=None):
     """A unit, factored or raw element text shaped like the wire
     workload's, with its defect 0..5 (None for none) or, for defect 6,
-    an empty term; separators with Unicode blanks when blanks is set."""
+    an empty term; separators with Unicode blanks when blanks is set.
+    A defect of one body term lies at term at, or at a drawn one."""
     den, terms = rng.choice((1, 2, 3, 4, 6, 8, 12)), rng.randint(4, 40)
     v = Fraction(rng.randint(-40, 40), rng.choice((1, 2, 3)))
     exps = [Fraction(j, den) for j in sorted(rng.sample(range(1, 2 * terms),
@@ -199,7 +201,7 @@ def wire_text(rng, defect, blanks):
         if form == "factored":
             parts[0] = f"{power(v)}{rng.choice(('*', ' * ', ' *'))}1"
     parts[-1] = f"O({parts[-1]})"
-    mid = rng.randrange(1, len(parts) - 2)
+    mid = rng.randrange(1, len(parts) - 2) if at is None else at
     if defect == 0:
         parts[mid], parts[mid + 1] = parts[mid + 1], parts[mid]
     elif defect == 1:
@@ -224,23 +226,29 @@ def wire_text(rng, defect, blanks):
     return out
 
 
-def outcome(parse, text):
+def outcome(parse, text, den_cap):
     try:
-        a = parse(text)
-    except ParseError as exc:
-        return type(exc), exc.position, str(exc)
+        a = parse(text, den_cap=den_cap)
+    except (ParseError, DenominatorOverflow) as exc:
+        return type(exc), getattr(exc, "position", None), str(exc)
     return a.val, a.unit.den, a.unit.body.coeffs, a.unit.body.prec
 
 
 def reader():
     # 40 texts per defect and 40 well-formed ones, a quarter of them
-    # with Unicode blanks, against the reference parser
+    # with Unicode blanks, against the reference parser; then the edges
+    # of the walk's restart one term before the first bad one: a bad
+    # term 0 or 1, and every defect past the den cap
     rng = random.Random(17)
-    texts = [wire_text(rng, defect, i % 4 == 0)
+    texts = [(wire_text(rng, defect, i % 4 == 0), 1 << 16)
              for defect in (None, *range(7)) for i in range(40)]
-    bad = [text[:60] for text in texts
-           if outcome(parse_element, text)
-           != outcome(reference_parse_element, text)]
+    texts += [(wire_text(rng, defect, True, at), 1 << 16)
+              for defect in (0, 2, 5) for at in (0, 1) for _ in range(10)]
+    texts += [(wire_text(rng, defect, i % 4 == 0), 1)
+              for defect in (None, *range(7)) for i in range(10)]
+    bad = [text[:60] for text, den_cap in texts
+           if outcome(parse_element, text, den_cap)
+           != outcome(reference_parse_element, text, den_cap)]
     return len(texts), bad
 
 
@@ -260,17 +268,17 @@ def census():
     # constructed ones, and the oracle's walk over the 8191 and 131071
     # elements of two Mersenne orders; the descending scans take
     # prefixes of the stored rows
-    finfield._rows = []
+    finfield._store = (1, [])
     steps = [*range(2, 41), *range(8190, 8195),
              (1 << 16) - 1, 1 << 16, (1 << 16) + 1]
     bad = []
     for q_max in steps:
         want = reference_prime_power_scan(q_max)
         if prime_power_scan(q_max) != want or [
-                pp.q for pp in finfield._rows] != [
+                pp.q for pp in finfield._store[1]] != [
                 pp.q for pp, _, _ in want] or any(
                 row(pp) != row(PrimePower(pp.p, pp.n))
-                for pp in finfield._rows):
+                for pp in finfield._store[1]):
             bad.append(("growth", q_max))
     scans = [(q_max, include_oracle)
              for q_max in (2, 3, 4, 8191, 8192, 8193,

@@ -17,11 +17,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from f2puiseux import (DenominatorOverflow, ElementSyntaxError,
-                       ExponentNotIncreasing, F2Series, Indistinguishable,
-                       NonpositivePrecision, ParseError, PuiseuxUnit, compose,
-                       decompose_raw, format_element, format_unit,
-                       parse_element, puiseux, textform)
+from f2puiseux import (DEFAULT_DEN_CAP, DenominatorOverflow,
+                       ElementSyntaxError, ExponentNotIncreasing, F2Series,
+                       Indistinguishable, NonpositivePrecision, ParseError,
+                       PuiseuxUnit, compose, decompose_raw, format_element,
+                       format_unit, parse_element, puiseux, textform)
 from f2puiseux.bitops import support_gcd
 from f2puiseux.textform import parse_rational
 from oracles import (reference_decompose_raw, reference_format_unit,
@@ -366,6 +366,34 @@ def _no_walk(*args):
     raise AssertionError("the term walk was entered")
 
 
+def _count_walks(monkeypatch):
+    """The argument tuples of every term walk from now on."""
+    real, walks = textform._walk, []
+    monkeypatch.setattr(textform, "_walk",
+                        lambda *args: walks.append(args) or real(*args))
+    return walks
+
+
+def _wire_defect(parts, defect, mid):
+    """parts with defect 0..5 of the benchmark's malformed wire inputs,
+    at term mid for the defects of one body term."""
+    parts = parts.copy()
+    if defect == 0:
+        parts[mid], parts[mid + 1] = parts[mid + 1], parts[mid]
+    elif defect == 1:
+        parts = parts[:-1]
+    elif defect == 2:
+        parts[mid] = "x^(1/0)"
+    elif defect == 3:
+        parts.insert(-1, "x^(1000000)")
+    elif defect == 4:  # the defect of a valuation factor
+        parts[0] = "x^(1/2) * x^(1)"
+    else:
+        bad = parts[mid]
+        parts[mid] = bad.replace(")", "", 1) if ")" in bad else bad + "("
+    return parts
+
+
 def _numeral_position(text, numeral):
     return text.rfind(numeral) - text[:text.rfind(numeral)].endswith("-")
 
@@ -400,35 +428,22 @@ class TestLongTextsAgainstReference:
     def test_wire_defects_near_the_end(self, defect, monkeypatch):
         # the defects of test_wire_defects, a few terms before the end; a
         # bad body term (defects 0, 2, 3 and 5) sends the reader into the
-        # term walk, while a bad tail (1) or valuation factor (4) raises
-        # before the body is split
-        real, walks = textform._walk, []
-        monkeypatch.setattr(textform, "_walk",
-                            lambda *args: walks.append(args) or real(*args))
+        # term walk, which reads only that term and the one before it,
+        # while a bad tail (1) or valuation factor (4) raises before the
+        # body is split
+        walks = _count_walks(monkeypatch)
         if defect in (1, 4):
             monkeypatch.setattr(textform, "_BODY_TERM", None)
         for seed in range(3):
             rng = random.Random(f"long:{defect}:{seed}")
             parts = _long_parts(rng, "unit", rng.randint(1000, 1500))
-            mid = len(parts) - rng.randint(3, 8)
-            if defect == 0:
-                parts[mid], parts[mid + 1] = parts[mid + 1], parts[mid]
-            elif defect == 1:
-                parts = parts[:-1]
-            elif defect == 2:
-                parts[mid] = "x^(1/0)"
-            elif defect == 3:
-                parts.insert(-1, "x^(1000000)")
-            elif defect == 4:  # the defect of a valuation factor
-                parts[0] = "x^(1/2) * x^(1)"
-            else:
-                bad = parts[mid]
-                parts[mid] = (bad.replace(")", "", 1) if ")" in bad
-                              else bad + "(")
+            parts = _wire_defect(parts, defect,
+                                 len(parts) - rng.randint(3, 8))
             text = _join_wide(rng, parts)
             walks.clear()
             assert isinstance(_agree(text)[0], type)
             assert len(walks) == (defect not in (1, 4))
+            assert all(body.count("+") <= 1 for body, *_ in walks)
 
     @pytest.mark.parametrize("form", ("unit", "factored", "raw"))
     def test_walk_alone_reads_wellformed_text(self, form, monkeypatch):
@@ -494,8 +509,80 @@ class TestLongTextsAgainstReference:
         assert _agree(text, den_cap=4)[0] is ExponentNotIncreasing
 
 
-def _wire_text(rng, terms, den, form):
-    """An element text made as the benchmark's wire workload makes one."""
+RESTART_DEFECTS = ("swap", "precision", "zero", "paren", "long", "one")
+LONG = "1" * (sys.get_int_max_str_digits() + 700)
+
+
+def _restart_defect(parts, form, defect, where):
+    """parts with defect at the first, second, middle or last body term,
+    a factored text's first body term following its head."""
+    parts = parts.copy()
+    lo, hi = int(form == "factored"), len(parts) - 2
+    i = {"first": lo, "second": lo + 1, "middle": (lo + hi) // 2,
+         "last": hi}[where]
+    if defect == "swap":
+        j = i - 1 if i == hi else i + 1
+        parts[i], parts[j] = parts[j], parts[i]
+    elif defect == "precision":  # the exponent of the O(.) marker
+        parts[i] = parts[-1][2:-1]
+    elif defect == "zero":
+        parts[i] = "x^(1/0)"
+    elif defect == "paren":
+        bad = parts[i]
+        parts[i] = bad.replace(")", "", 1) if ")" in bad else bad + "("
+    elif defect == "long":
+        parts[i] = f"x^(-{LONG}/7)" if i % 2 else f"x^(1/{LONG})"
+    else:  # every text holds a 1 already
+        parts.insert(i, "1")
+    if where == "middle":
+        parts[i] = parts[i].translate(ARABIC_INDIC)
+    return parts
+
+
+class TestRestartAgainstReference:
+    """A body the bulk passes refuse is walked from the term before its
+    first bad one; the error must be the one a walk of every term
+    raises, which the reference raises."""
+
+    @pytest.mark.parametrize("form", ("unit", "factored", "raw"))
+    @pytest.mark.parametrize("den_cap", (DEFAULT_DEN_CAP, 5))
+    @pytest.mark.parametrize("defect", RESTART_DEFECTS)
+    def test_defect_at_each_edge(self, form, den_cap, defect, monkeypatch):
+        rng = random.Random(f"restart:{form}:{den_cap}:{defect}")
+        parts = _long_parts(rng, form, 60)
+        clean = _agree(_join_wide(rng, parts), den_cap=den_cap)
+        # within the cap the text is read; past it the planner takes its
+        # cross-multiplying route
+        assert (clean[0] is DenominatorOverflow) == (den_cap == 5)
+        walks = _count_walks(monkeypatch)
+        for where in ("first", "second", "middle", "last"):
+            text = _join_wide(rng, _restart_defect(parts, form, defect,
+                                                   where))
+            walks.clear()
+            if defect == "long":
+                # the reference's int() refuses the numeral with a bare
+                # ValueError; the reader blames it at its position
+                with pytest.raises(ValueError):
+                    reference_parse_element(text, den_cap=den_cap)
+                with pytest.raises(ElementSyntaxError) as info:
+                    parse_element(text, den_cap=den_cap)
+                numeral = (LONG if LONG in text
+                           else LONG.translate(ARABIC_INDIC))
+                assert info.value.position == _numeral_position(text,
+                                                                numeral)
+                assert str(info.value).startswith(
+                    f"numeral of {len(LONG)} digits exceeds the limit")
+            else:
+                got = _agree(text, den_cap=den_cap)
+                assert isinstance(got[0], type), (where, text)
+                assert got[0] is not DenominatorOverflow, where
+            assert len(walks) == 1, where
+            assert walks[0][0].count("+") <= 1, where
+
+
+def _wire_text(rng, terms, den, form, defect=None):
+    """An element text made as the benchmark's wire workload makes one;
+    defect(rng, parts) may change its terms before they are joined."""
     span = 2 * terms
     rel = [Q(j, den) for j in sorted(rng.sample(range(1, span), terms - 1))]
     v = Q(rng.randint(-40, 40), rng.choice(DENS))
@@ -505,7 +592,42 @@ def _wire_text(rng, terms, den, form):
     else:
         parts = (["1"] + [_exponent_text(rng, e) for e in rel]
                  + [f"O({_exponent_text(rng, Q(span, den))})"])
+    if defect:
+        parts = defect(rng, parts)
     return _join(rng, parts)
+
+
+def _wire_pool_text(i):
+    """The element text of the wire workload's malformed pool item i
+    (35 to 40, defects 0 to 5), drawn as the workload draws it."""
+    def defect(rng, parts):
+        parts = _wire_defect(parts, i - 35,
+                             rng.randrange(1, len(parts) - 2))
+        rng.choice(("inv", "decompose", "root", "compose"))  # the command
+        return parts
+
+    rng = random.Random(f"wire:{i}")
+    terms = int(2 ** (8 + 2 * rng.random()))
+    return _wire_text(rng, terms, rng.choice(DENS), "unit", defect)
+
+
+class TestWirePoolRestarts:
+    # the pool items whose body the bulk passes refuse: the walk reads
+    # the first bad term and the one before it, whatever the term count
+    @pytest.mark.parametrize("item,error,position", [
+        (35, ExponentNotIncreasing, 8841),
+        (37, ElementSyntaxError, 3589),
+        (38, NonpositivePrecision, 3107),
+        (40, ElementSyntaxError, 511),
+    ])
+    def test_walk_reads_two_terms(self, item, error, position, monkeypatch):
+        text = _wire_pool_text(item)
+        walks = _count_walks(monkeypatch)
+        got = _agree(text)
+        assert got[:2] == (error, position)
+        assert len(walks) == 1
+        assert walks[0][0].count("+") <= 1
+        assert text.count("+") > 40
 
 
 class TestParseMemory:

@@ -240,10 +240,10 @@ class TestScan:
             prime_power_scan(1)
 
     def test_qmax_above_desk_limit_rejected_before_sieve_grows(self):
-        stored = finfield._rows
+        stored = finfield._store
         with pytest.raises(OutOfRange):
             prime_power_scan(10_000_000_000)
-        assert finfield._rows is stored
+        assert finfield._store is stored
 
 
 class TestSieveCap:
@@ -251,10 +251,10 @@ class TestSieveCap:
     constructor's primality check."""
 
     def test_growth_stops_at_the_desk_limit(self):
-        stored = finfield._rows
+        stored = finfield._store
         with pytest.raises(OutOfRange):
             prime_power_scan(finfield._DESK_LIMIT + 1, include_oracle=False)
-        assert finfield._rows is stored
+        assert finfield._store is stored
 
     def test_above_the_desk_limit_still_raises(self, monkeypatch):
         # refused before any trial division; 4194301 is the largest
@@ -282,7 +282,7 @@ class TestScanAgainstReference:
 
     @pytest.fixture(autouse=True)
     def empty_store(self, monkeypatch):
-        monkeypatch.setattr(finfield, "_rows", [])
+        monkeypatch.setattr(finfield, "_store", (1, []))
 
     @pytest.mark.parametrize("include_oracle", [True, False])
     def test_matches_reference(self, include_oracle):
@@ -308,12 +308,26 @@ def row(pp):
 
 
 def stored_qs():
-    return [pp.q for pp in finfield._rows]
+    return [pp.q for pp in finfield._store[1]]
 
 
 def reference_qs(q_max):
     return [pp.q for pp, _, _ in reference_prime_power_scan(
         q_max, include_oracle=False)]
+
+
+class CountingLock:
+    """A lock that counts how often it is entered."""
+
+    def __init__(self):
+        self.lock, self.entries = threading.Lock(), 0
+
+    def __enter__(self):
+        self.entries += 1
+        return self.lock.__enter__()
+
+    def __exit__(self, *exc):
+        return self.lock.__exit__(*exc)
 
 
 class TestPrimeRowStore:
@@ -322,7 +336,7 @@ class TestPrimeRowStore:
 
     @pytest.fixture(autouse=True)
     def empty_store(self, monkeypatch):
-        monkeypatch.setattr(finfield, "_rows", [])
+        monkeypatch.setattr(finfield, "_store", (1, []))
 
     def test_scans_in_any_order_match_reference(self):
         # grown, then prefixes at the bottom and the middle, then grown
@@ -335,12 +349,12 @@ class TestPrimeRowStore:
                 for pp, _, _ in rows:
                     assert row(pp) == row(PrimePower(pp.p, pp.n)), pp
         assert stored_qs() == reference_qs(32769)
-        for pp in finfield._rows:
+        for pp in finfield._store[1]:
             assert row(pp) == row(PrimePower(pp.p, pp.n)), pp
 
     def test_primality_check_adds_no_rows(self):
         assert PrimePower(4_000_037, 1).q == 4_000_037
-        assert finfield._rows == []
+        assert finfield._store == (1, [])
 
     def test_concurrent_scans_from_an_empty_store(self):
         # more threads than cores, switching as often as the interpreter
@@ -378,10 +392,26 @@ class TestPrimeRowStore:
         # 32761 = 181**2 and no prime power lies in 32762..32767, so
         # the second scan finds nothing to add and publishes nothing
         prime_power_scan(32767, include_oracle=False)
-        stored = finfield._rows
-        assert stored[-1] == PrimePower(181, 2)
+        stored = finfield._store
+        assert stored[1][-1] == PrimePower(181, 2)
         prime_power_scan(32767, include_oracle=False)
-        assert finfield._rows is stored
+        assert finfield._store is stored
+
+    def test_scans_within_the_reach_grow_nothing(self, monkeypatch):
+        # the store records the q_max it was grown to, so scans up to
+        # 32767 after the first take it without the lock, although its
+        # last row is 32761; the scan to 2**15 grows it once more
+        growing = CountingLock()
+        monkeypatch.setattr(finfield, "_growing", growing)
+        for q_max in (32767, 32767, 32762, 100, 32767):
+            prime_power_scan(q_max, include_oracle=False)
+        assert growing.entries == 1
+        assert finfield._store[0] == 32767
+        assert finfield._store[1][-1] == PrimePower(181, 2)
+        prime_power_scan(1 << 15, include_oracle=False)
+        assert growing.entries == 2
+        assert finfield._store[0] == 1 << 15
+        assert stored_qs() == reference_qs(1 << 15)
 
     def test_scans_share_every_row(self):
         # the proper powers are stored with the primes, not rebuilt
@@ -401,7 +431,7 @@ class TestPrimeRowStore:
         for q_max in steps:
             rows = prime_power_scan(q_max)
             assert rows == reference_prime_power_scan(q_max), q_max
-            stored = finfield._rows
+            stored = finfield._store[1]
             assert stored_qs() == [pp.q for pp, _, _ in rows], q_max
             assert all(type(pp) is PrimePower for pp in stored)
             for pp in stored:
