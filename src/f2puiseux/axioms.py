@@ -115,7 +115,7 @@ def random_element(rng: random.Random, aprec, bound: int) -> L0Element:
 
 
 def _render(x) -> str:
-    # late import keeps textform free to depend on puiseux
+    # imported at call time, so a wrapper installed on textform sees it
     from .textform import format_element, format_unit
 
     if isinstance(x, L0Element):

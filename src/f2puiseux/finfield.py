@@ -84,11 +84,14 @@ def mersenne_exponent(p_prime: int) -> int | None:
 
     Primality is established by trial division and, for r >= 3,
     cross-checked against the Lucas-Lehmer test; the two methods must
-    agree.
+    agree.  Past 2**44 (r > 44), beyond trial division, OutOfRange.
     """
     if p_prime < 1 or (p_prime + 1) & p_prime:
         return None  # not of the all-ones form
     r = p_prime.bit_length()
+    if p_prime > _DESK_LIMIT ** 2:
+        raise OutOfRange(f"2**{r} - 1 is beyond trial division "
+                         f"up to the desk-scale limit {_DESK_LIMIT}")
     divides = trial_division_prime(p_prime)
     if r >= 3 and lucas_lehmer(r) != divides:
         raise AssertionError(
@@ -100,8 +103,7 @@ class PrimePower(Value):
     """q = p**n with p verified prime."""
 
     # q is computed once, since both verdict routes read it, and is left
-    # out of the arguments, the repr and equality; a prime keeps p's int
-    # object, which spares a scan one int per row
+    # out of the arguments, the repr and equality
     __slots__ = ("p", "n", "q")
     __match_args__ = ("p", "n")
 
@@ -115,7 +117,7 @@ class PrimePower(Value):
             raise ValueError(f"{_brief(p)} is not prime")
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "n", n)
-        object.__setattr__(self, "q", p ** n if n > 1 else p)
+        object.__setattr__(self, "q", p ** n)
 
     @classmethod
     def from_q(cls, q: int) -> "PrimePower":

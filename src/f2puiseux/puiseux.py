@@ -13,9 +13,10 @@ stands for x**val * unit.  Multiplication adds valuations and
 multiplies units, so the element group splits as the direct product of
 the rationals and the unit group; decompose/compose move between the
 raw-series view and that product view.  Parsed text and decompose_raw's
-exponent lists share one planner, _plan: it splits off the valuation,
-finds the unit's minimal grid and checks the den cap before anything
-is built on a grid past the cap.
+exponent lists share one planner, _plan: one search, over grid indices
+or past the den cap over exact Fractions, names the first bad term; it
+splits off the valuation and checks the cap before the unit's minimal
+grid is built.
 
 Every unit is stored normalized, on the coarsest grid its body,
 precision and den allow, and the constructor checks that with
@@ -33,7 +34,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from collections import Counter, deque
 from fractions import Fraction
-from itertools import compress as sift, count, islice, repeat  # not bitops'
+from itertools import compress as sift, islice, repeat  # not bitops'
 from math import gcd, lcm
 from operator import floordiv, ge, mul, sub
 from typing import Iterable, Union
@@ -294,13 +295,14 @@ def _plan(nums, dens, pn: int, pd: int,
     index of the first bad term: the first of the rising prefix at or
     past the precision, else the first that does not rise.
 
-    nums and dens are ints or numerals, a denominator None for 1.  The
-    unit's grid, minimal so the constructor's stride test is skipped,
-    is the lcm of the reduced denominators of the exponents less the
-    lowest, the valuation.  While big, the lcm of all denominators, is
-    within the cap, it is big over one gcd on the grid 1/big; past it,
-    where big is built only until it passes, it grows term by term and
-    is checked before any index exists.
+    nums and dens are ints or numerals, a denominator None for 1.  One
+    search orders the terms by key: within the cap, the index on the grid
+    1/big, big the lcm of all denominators; past it, where big stops once
+    it passes, the exponent as a Fraction.  Neither admits a zero
+    denominator.  The unit's grid, minimal so the constructor's stride
+    test is skipped, is the lcm of the reduced denominators of the
+    exponents less the lowest, the valuation: big over one gcd, or past
+    the cap, checked before any index exists.
     """
     nums, dens = [*nums, pn], [*dens, pd]  # the precision last
     den_of = {d: 1 if d is None else int(d) for d in set(dens)}
@@ -309,31 +311,26 @@ def _plan(nums, dens, pn: int, pd: int,
         big = lcm(big, d)
         if den_cap is not None and big > den_cap:
             break
-    if den_cap is None or big <= den_cap:
-        scale = {d: big // n for d, n in den_of.items()}
-        indices = list(map(mul, map(int, nums), map(scale.__getitem__, dens)))
-        ends = sift(indices, map(ge, indices, islice(indices, 1, None)))
-        top = next(ends, None)  # the last of the rising prefix, if it ends
-        if top is not None:
-            return bisect_left(indices, indices[-1], 0, indices.index(top) + 1)
-        prec, low = indices.pop(), indices[0]
+    within = den_cap is None or big <= den_cap
+    # the key of n/d: within the cap n * (big // d), past it Fraction(n, d)
+    scale = {d: big // n for d, n in den_of.items()} if within else den_of
+    keys = list(map(mul if within else Fraction, map(int, nums),
+                    map(scale.__getitem__, dens)))
+    # the last of the rising prefix, if it ends
+    top = next(sift(keys, map(ge, keys, islice(keys, 1, None))), None)
+    if top is not None:
+        return bisect_left(keys, keys[-1], 0, keys.index(top) + 1)
+    if within:
+        prec, low, indices = keys.pop(), keys[0], keys
         g = gcd(big, prec - low, *map(sub, indices, repeat(low)))
         val, den = Fraction(low, big), big // g
     else:
-        nums, dens = [*map(int, nums)], [*map(den_of.__getitem__, dens)]
-        falls = map(ge, map(mul, nums, islice(dens, 1, None)),
-                    map(mul, islice(nums, 1, None), dens))
-        stop = next(sift(count(1), falls), None)
-        if stop is not None:
-            return bisect_left(range(stop), True, key=lambda t:
-                               nums[t] * dens[-1] >= nums[-1] * dens[t])
-        # each exponent less the lowest, the precision last, is r / q
-        rs = [n * dens[0] - nums[0] * d for n, d in zip(nums, dens)]
-        qs = [d * dens[0] for d in dens]
-        den = lcm(*map(floordiv, qs, map(gcd, rs, qs)))
+        # each exponent less the lowest, the precision last
+        val, rel = keys[0], [e - keys[0] for e in keys]
+        den = lcm(*(e.denominator for e in rel))
         _check_den(den, den_cap)
-        *indices, prec = map(floordiv, map(mul, rs, repeat(den)), qs)
-        val, low, g = Fraction(nums[0], dens[0]), 0, 1
+        *indices, prec = [e.numerator * (den // e.denominator) for e in rel]
+        low, g = 0, 1
     high = indices[-1]
     digits = bytearray(b"0") * ((high - low) // g + 1)  # high bit first
     deque(map(digits.__setitem__,

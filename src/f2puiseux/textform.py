@@ -14,15 +14,15 @@ accepted and factored into canonical form, so parsing followed by
 formatting is idempotent and formatting followed by parsing is the
 identity.
 
-The codec works on integer grid indices, in time linear in the number
-of terms.  One reader parses: after the precision marker and the
-valuation factor, one regex split checks every body term and cuts out
-its numerals, and puiseux._plan, decompose_raw's planner, converts
-them, each distinct denominator once.  While big, the lcm of all
+Within the den cap the codec works on integer grid indices, in time
+linear in the number of terms.  One reader parses: after the precision
+marker and the valuation factor, one regex split checks every body term
+and cuts out its numerals, and puiseux._plan, decompose_raw's planner,
+converts them, each distinct denominator once.  While big, the lcm of all
 denominators, is within the den cap, n/d becomes the index
 n * (big // d) on the grid 1/big, where an unreduced fraction lands on
 its reduced form's index, and one pass checks that the indices rise to
-the precision; past the cap, cross-multiplication checks the exponents.
+the precision; past the cap, the same pass reads exact Fractions.
 A refused body is not walked whole: _plan names the first bad term
 (the first that does not rise, or a bisection finds an earlier one at
 or past the precision), and a term the split skips or _plan cannot
@@ -32,7 +32,7 @@ checked; an empty term outranks every other error.  Every numeral
 outside the split is read by one reader, _numerals: the walk, the
 precision marker, the valuation factor and parse_rational.  Formatting
 renders bit j of a unit body on the grid 1/den as j/den, reduced by one
-gcd.  Fractions are built only for the valuation and for error texts.
+gcd.  Within the cap, only the valuation and error texts build Fractions.
 """
 
 from __future__ import annotations

@@ -24,13 +24,15 @@ the reference's prime powers, and each stored row against one from
 the public constructor.  It checks the field scan against the
 reference scan around 2**13, with and without the oracle, its rows
 against rows from the public constructor, and the oracle at q = 2**13,
-2**17 and 2**18.  It checks each of the seven value types for its
-repr, equality with a twin, its hash or unhashability, and copy,
-deepcopy and pickle round trips.  It also runs the first 200 seeded
-command lines of tests/argv_fuzz.py, which the Tier-1 suite runs 1000 of, and
-checks that each ends in output, one diagnostic or a usage error,
-never a traceback, and that importing the command loads neither
-`dataclasses` nor `inspect`.
+2**17 and 2**18.  It checks is_space, scalar_order and dim of both
+census routes against tests/oracles.field_oracle, which multiplies in
+F_q itself, on every prime power q <= 2**13.  It checks each of the
+seven value types for its repr, equality with a twin, its hash or
+unhashability, and copy, deepcopy and pickle round trips.  It also
+runs the first 200 seeded command lines of tests/argv_fuzz.py, which
+the Tier-1 suite runs 1000 of, and checks that each ends in output, one
+diagnostic or a usage error, never a traceback, and that importing the
+command loads neither `dataclasses` nor `inspect`.
 It prints one line per part and exits 1 if any part fails.  pytest
 does not collect this file; the Tier-1 suite covers the same ground
 where pytest is installed.
@@ -58,9 +60,9 @@ from f2puiseux.cli import main
 
 from argv_fuzz import broken_rule, draws
 from oracles import (bits_to_coeffs, coeffs_to_bits, convolve_mod2,
-                     coordinates_match, reference_parse_element,
-                     reference_prime_power_scan, reference_spread,
-                     unit_coordinates)
+                     coordinates_match, field_oracle,
+                     reference_parse_element, reference_prime_power_scan,
+                     reference_spread, unit_coordinates)
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -297,6 +299,21 @@ def census():
     return len(steps) + len(scans) + len(answers), bad
 
 
+def field_census():
+    # is_space, scalar_order and dim of both routes against the oracle
+    # that multiplies in F_q itself, on every prime power up to 2**13;
+    # the Tier-1 suite runs the same check up to 2**11
+    rows = prime_power_scan(1 << 13)
+    bad = []
+    for pp, verdict, oracle in rows:
+        want = field_oracle(pp.p, pp.n)
+        if any((got.is_space, got.scalar_order, got.dim)
+               != (want.is_space, want.scalar_order, want.dim)
+               for got in (verdict, oracle)):
+            bad.append(pp.q)
+    return len(rows), bad
+
+
 def value_types():
     # each type built twice, with its repr; the algebra types compare by
     # truncation and have no hash, the others hash as their field tuple
@@ -371,6 +388,8 @@ if __name__ == "__main__":
                        ("element reader against the reference parser",
                         reader),
                        ("field scan against the reference scan", census),
+                       ("both census routes against the field oracle",
+                        field_census),
                        ("value types: repr, equality, hash, copy, pickle",
                         value_types),
                        ("seeded command lines without a traceback",

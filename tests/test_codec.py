@@ -513,9 +513,10 @@ RESTART_DEFECTS = ("swap", "precision", "zero", "paren", "long", "one")
 LONG = "1" * (sys.get_int_max_str_digits() + 700)
 
 
-def _restart_defect(parts, form, defect, where):
+def _restart_defect(parts, form, defect, where, zero="x^(1/0)"):
     """parts with defect at the first, second, middle or last body term,
-    a factored text's first body term following its head."""
+    a factored text's first body term following its head; the zero
+    defect writes zero."""
     parts = parts.copy()
     lo, hi = int(form == "factored"), len(parts) - 2
     i = {"first": lo, "second": lo + 1, "middle": (lo + hi) // 2,
@@ -526,7 +527,7 @@ def _restart_defect(parts, form, defect, where):
     elif defect == "precision":  # the exponent of the O(.) marker
         parts[i] = parts[-1][2:-1]
     elif defect == "zero":
-        parts[i] = "x^(1/0)"
+        parts[i] = zero
     elif defect == "paren":
         bad = parts[i]
         parts[i] = bad.replace(")", "", 1) if ")" in bad else bad + "("
@@ -551,13 +552,18 @@ class TestRestartAgainstReference:
         rng = random.Random(f"restart:{form}:{den_cap}:{defect}")
         parts = _long_parts(rng, form, 60)
         clean = _agree(_join_wide(rng, parts), den_cap=den_cap)
-        # within the cap the text is read; past it the planner takes its
-        # cross-multiplying route
+        # within the cap the text is read; past it the planner orders
+        # the exponents as Fractions
         assert (clean[0] is DenominatorOverflow) == (den_cap == 5)
         walks = _count_walks(monkeypatch)
-        for where in ("first", "second", "middle", "last"):
+        cases = [(where, "x^(1/0)")
+                 for where in ("first", "second", "middle", "last")]
+        if defect == "zero" and den_cap == 5:
+            # past the cap, a negative numerator over a zero denominator
+            cases += [(where, "x^(-1/0)") for where, _ in cases]
+        for where, zero in cases:
             text = _join_wide(rng, _restart_defect(parts, form, defect,
-                                                   where))
+                                                   where, zero))
             walks.clear()
             if defect == "long":
                 # the reference's int() refuses the numeral with a bare
@@ -696,6 +702,13 @@ class TestPastTheCap:
         ("x^(1/97) + x^(1/0) + x^(3/97) + O(x^(5))", ElementSyntaxError, 11),
         ("x^(1/97) + x^(2/97) + 1 + O(x^(5))", ExponentNotIncreasing, 22),
         ("x^(1/97) + x^(2/97) +  + O(x^(5))", ElementSyntaxError, 21),
+        # a zero denominator after a swapped pair: the swap comes first
+        ("x^(1/97) + x^(3/97) + x^(2/97) + x^(-1/0) + O(x^(5))",
+         ExponentNotIncreasing, 22),
+        # one before a swapped pair: the zero denominator comes first,
+        # however the written denominators are visited
+        ("x^(-1/0) + x^(1/97) + x^(2/89) + x^(3/83) + x^(4/79) + x^(5/73)"
+         " + x^(7/67) + x^(6/61) + O(x^(5))", ElementSyntaxError, 0),
     ])
     def test_term_errors_win_past_the_cap(self, text, error, position):
         got = _agree(text, den_cap=50)

@@ -1,3 +1,4 @@
+import re
 import sys
 import threading
 from bisect import bisect_right
@@ -129,6 +130,30 @@ class TestMersenneExponent:
         primes = {pp.p for pp, _, _ in prime_power_scan(4999) if pp.n == 1}
         assert all(trial_division_prime(n) == (n in primes)
                    for n in range(5000))
+
+    def test_last_exponent_within_trial_division(self):
+        # 2**44 - 1 = 3 * 5 * 23 * 89 * 397 * 683 * 2113 is the largest
+        # all-ones number trial division up to the desk-scale limit settles
+        assert (1 << 44) - 1 <= finfield._DESK_LIMIT ** 2
+        assert mersenne_exponent((1 << 44) - 1) is None
+
+    @pytest.mark.parametrize("r", (45, 100003))
+    def test_refused_past_trial_division(self, r, monkeypatch):
+        # 2**45 - 1 has the small factor 7, yet no division and no
+        # Lucas-Lehmer step runs past 2**44; the verdict refuses likewise
+        pp = PrimePower(2, r)
+
+        def fail(*args):
+            raise AssertionError("called past the bound")
+
+        monkeypatch.setattr(finfield, "lucas_lehmer", fail)
+        monkeypatch.setattr(finfield, "_smallest_prime_factor", fail)
+        message = re.escape(f"2**{r} - 1 is beyond trial division up to "
+                            f"the desk-scale limit {finfield._DESK_LIMIT}")
+        with pytest.raises(OutOfRange, match=message):
+            mersenne_exponent((1 << r) - 1)
+        with pytest.raises(OutOfRange, match=message):
+            linear_space_verdict(pp)
 
     def test_trial_division_stops_at_the_desk_limit(self):
         # 4194301 is the largest prime at or below 2^22, 4194319 the
