@@ -16,12 +16,11 @@ from .errors import (DenominatorOverflow, ElementSyntaxError, EvenK,
                      NonpositivePrecision, NonUnitLeadingTerm, NotAUnit,
                      OddSupport, OutOfRange, ParseError)
 from .series import F2Series, add, inv, kth_root_odd, mul, pow_int, sqrt
-from .puiseux import (DEFAULT_DEN_CAP, L0Element, PuiseuxUnit, Rational,
-                      compose, decompose, decompose_raw, element_inv,
-                      element_mul, element_pow, element_root,
-                      element_scalar_mul, elements_agree, scalar_mul_unit,
-                      unit_inv, unit_mul, unit_pow, unit_root, unit_sqrt,
-                      units_agree)
+from .puiseux import (DEFAULT_DEN_CAP, L0Element, PuiseuxUnit, compose,
+                      decompose, decompose_raw, element_inv, element_mul,
+                      element_pow, element_root, element_scalar_mul,
+                      elements_agree, scalar_mul_unit, unit_inv, unit_mul,
+                      unit_pow, unit_root, unit_sqrt, units_agree)
 from .textform import format_element, format_unit, parse_element, parse_unit
 from .axioms import (AxiomCheck, AxiomReport, check_root_bijectivity,
                      check_torsion_free, check_vector_space_axioms)
@@ -33,7 +32,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "F2Series", "add", "mul", "inv", "sqrt", "kth_root_odd", "pow_int",
-    "Rational", "PuiseuxUnit", "L0Element", "DEFAULT_DEN_CAP",
+    "PuiseuxUnit", "L0Element", "DEFAULT_DEN_CAP",
     "unit_mul", "unit_inv", "unit_sqrt", "unit_pow",
     "unit_root", "scalar_mul_unit", "units_agree", "elements_agree",
     "element_mul", "element_inv", "element_pow", "element_root",

@@ -29,7 +29,7 @@ from fractions import Fraction
 from . import puiseux as px
 from ._value import Value
 from .errors import DenominatorOverflow, _brief
-from .puiseux import (DEFAULT_DEN_CAP, L0Element, PuiseuxUnit, Rational,
+from .puiseux import (DEFAULT_DEN_CAP, L0Element, PuiseuxUnit,
                       elements_agree, units_agree)
 from .series import F2Series
 
@@ -62,7 +62,7 @@ class AxiomReport(Value):
     __slots__ = __match_args__ = ("kind", "seed", "samples", "aprec",
                                   "params", "skipped", "checks")
 
-    def __init__(self, kind: str, seed: int, samples: int, aprec: Rational,
+    def __init__(self, kind: str, seed: int, samples: int, aprec: Fraction,
                  params: tuple[tuple[str, int], ...], skipped: int,
                  checks: tuple[AxiomCheck, ...]):
         object.__setattr__(self, "kind", kind)
@@ -105,7 +105,7 @@ def random_unit(rng: random.Random, aprec) -> PuiseuxUnit:
     return PuiseuxUnit(den, F2Series(coeffs, prec))
 
 
-def random_rational(rng: random.Random, bound: int) -> Rational:
+def random_rational(rng: random.Random, bound: int) -> Fraction:
     """Numerator in [-bound, bound], denominator in [1, bound]."""
     return Fraction(rng.randint(-bound, bound), rng.randint(1, bound))
 
@@ -138,6 +138,8 @@ def _run(kind: str, names, samples: int, seed: int, aprec: Fraction,
     yields (law name, holds, witness inputs) per check.  A sample whose
     checks hit the denominator cap is skipped as a whole.
     """
+    if samples < 1:
+        raise ValueError("samples must be >= 1")
     # [checked, failures, first counterexample] per law, in declaration
     # order
     tally = {name: [0, 0, None] for name in names}
@@ -179,8 +181,6 @@ def check_vector_space_axioms(samples: int, aprec, seed: int,
     Scalars act through roots and powers, so both sides of each law are
     compared at the precision the root contractions leave available.
     """
-    if samples < 1:
-        raise ValueError("samples must be >= 1")
     if scalar_bound < 1:
         raise ValueError("scalar_bound must be >= 1")
     aprec = Fraction(aprec)
@@ -227,8 +227,6 @@ def check_torsion_free(samples: int, n_max: int, aprec, seed: int, *,
     the working precision; units indistinguishable from 1 under some
     power map are resampled, like the identity itself.
     """
-    if samples < 1:
-        raise ValueError("samples must be >= 1")
     if n_max < 2:
         raise ValueError("n_max must be >= 2")
     aprec = Fraction(aprec)
@@ -270,8 +268,6 @@ def check_root_bijectivity(samples: int, k_max: int, aprec, seed: int, *,
                            den_cap: int | None = DEFAULT_DEN_CAP
                            ) -> AxiomReport:
     """Round-trip every power map against its root, both ways."""
-    if samples < 1:
-        raise ValueError("samples must be >= 1")
     if k_max < 2:
         raise ValueError("k_max must be >= 2")
     aprec = Fraction(aprec)

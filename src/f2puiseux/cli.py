@@ -170,9 +170,7 @@ def _verdict_to_dict(v: finfield.FqVerdict | None) -> dict | None:
             "dim": v.dim}
 
 
-def _verdict_text(v: finfield.FqVerdict | None) -> str:
-    if v is None:
-        return "-"
+def _verdict_text(v: finfield.FqVerdict) -> str:
     if not v.is_space:
         return "no"
     scalar = "any" if v.scalar_order is None else f"F{v.scalar_order}"

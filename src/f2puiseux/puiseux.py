@@ -37,18 +37,13 @@ from fractions import Fraction
 from itertools import compress as sift, islice, repeat  # not bitops'
 from math import gcd, lcm
 from operator import floordiv, ge, mul, sub
-from typing import Iterable, Union
+from typing import Iterable
 
 from . import series
 from ._value import Value
 from .bitops import bit_indices, compress, spread, support_gcd, trunc_bits
 from .errors import DenominatorOverflow, Indistinguishable, NotAUnit, _brief
 from .series import F2Series
-
-#: Exact rational scalars and exponents.
-Rational = Fraction
-
-RationalLike = Union[Rational, int]
 
 DEFAULT_DEN_CAP = 1 << 16
 
@@ -91,7 +86,7 @@ class PuiseuxUnit(Value):
         return cls(den, F2Series.one(prec))
 
     @property
-    def aprec(self) -> Rational:
+    def aprec(self) -> Fraction:
         """The unit is known modulo x**aprec."""
         return Fraction(self.body.prec, self.den)
 
@@ -99,7 +94,7 @@ class PuiseuxUnit(Value):
         """True when the unit equals 1 as far as its precision can see."""
         return self.body.coeffs == 1
 
-    def exponents(self) -> list[Rational]:
+    def exponents(self) -> list[Fraction]:
         """Exponents with coefficient 1, ascending (0 is always first)."""
         return [Fraction(j, self.den) for j in bit_indices(self.body.coeffs)]
 
@@ -213,7 +208,7 @@ def unit_root(u: PuiseuxUnit, k: int, *,
     return _act(u, 1, k, den_cap)
 
 
-def scalar_mul_unit(r: RationalLike, u: PuiseuxUnit, *,
+def scalar_mul_unit(r: Fraction | int, u: PuiseuxUnit, *,
                     den_cap: int | None = DEFAULT_DEN_CAP) -> PuiseuxUnit:
     """The scalar action r . u := u**r = (u**num)**(1/den)."""
     r = Fraction(r)
@@ -225,17 +220,13 @@ class L0Element(Value):
 
     __slots__ = __match_args__ = ("val", "unit")
 
-    def __init__(self, val: RationalLike, unit: PuiseuxUnit):
+    def __init__(self, val: Fraction | int, unit: PuiseuxUnit):
         object.__setattr__(self, "val", Fraction(val))
         object.__setattr__(self, "unit", unit)
 
     @classmethod
     def one(cls, prec: int = 1) -> "L0Element":
         return cls(Fraction(0), PuiseuxUnit.one(prec))
-
-    @property
-    def aprec(self) -> Rational:
-        return self.unit.aprec
 
     def __eq__(self, other):
         if not isinstance(other, L0Element):
@@ -253,17 +244,18 @@ def elements_agree(a: L0Element, b: L0Element) -> bool:
     return a.val == b.val and units_agree(a.unit, b.unit)
 
 
-def compose(val: RationalLike, unit: PuiseuxUnit) -> L0Element:
+def compose(val: Fraction | int, unit: PuiseuxUnit) -> L0Element:
     """Pair a rational valuation with a unit; inverse of decompose."""
     return L0Element(val, unit)
 
 
-def decompose(a: L0Element) -> tuple[Rational, PuiseuxUnit]:
+def decompose(a: L0Element) -> tuple[Fraction, PuiseuxUnit]:
     """The (valuation, unit) coordinates of an element."""
     return a.val, a.unit
 
 
-def decompose_raw(exponents: Iterable[RationalLike], aprec: RationalLike, *,
+def decompose_raw(exponents: Iterable[Fraction | int],
+                  aprec: Fraction | int, *,
                   den_cap: int | None = DEFAULT_DEN_CAP) -> L0Element:
     """Factor a raw series sum(x**e) + O(x**aprec) as x**val * unit.
 
@@ -357,7 +349,7 @@ def element_pow(a: L0Element, e: int) -> L0Element:
     return L0Element(a.val * e, unit_pow(a.unit, e))
 
 
-def element_scalar_mul(r: RationalLike, a: L0Element, *,
+def element_scalar_mul(r: Fraction | int, a: L0Element, *,
                        den_cap: int | None = DEFAULT_DEN_CAP) -> L0Element:
     """The scalar action on the product group, componentwise."""
     r = Fraction(r)

@@ -46,8 +46,7 @@ from math import gcd
 from .bitops import bit_indices
 from .errors import (ElementSyntaxError, ExponentNotIncreasing,
                      NonpositivePrecision, NonUnitLeadingTerm, ParseError)
-from .puiseux import (DEFAULT_DEN_CAP, L0Element, PuiseuxUnit, Rational,
-                      _plan, compose)
+from .puiseux import DEFAULT_DEN_CAP, L0Element, PuiseuxUnit, _plan, compose
 
 # x^n, x^(n) or x^(n/d): group 1 is the parenthesis, 2 the numerator
 # and 3 the denominator, which only a parenthesized exponent may have
@@ -88,7 +87,7 @@ def _numerals(m: re.Match, offset: int,
     raise ElementSyntaxError(zero, offset if at is None else at)
 
 
-def parse_rational(text: str) -> Rational:
+def parse_rational(text: str) -> Fraction:
     """Parse "n" or "n/d" with positive d."""
     stripped = text.strip()
     m = _RATIONAL.match(stripped)

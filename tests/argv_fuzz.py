@@ -20,8 +20,10 @@ lives on den 1.
 
 import io
 import json
+import os
 import random
 from contextlib import redirect_stderr, redirect_stdout
+from unittest import mock
 
 from f2puiseux.cli import main
 
@@ -127,6 +129,19 @@ def draw_argv(rng: random.Random) -> list:
 def draws(seed: int, count: int) -> list:
     rng = random.Random(seed)
     return [draw_argv(rng) for _ in range(count)]
+
+
+def transcript(argv):
+    """One `main` call as {argv, code, out, err}, help text at 80 columns."""
+    out, err = io.StringIO(), io.StringIO()
+    with mock.patch.dict(os.environ, {"COLUMNS": "80"}), \
+            redirect_stdout(out), redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return {"argv": argv, "code": code, "out": out.getvalue(),
+            "err": err.getvalue()}
 
 
 def _records(out: str) -> list | None:

@@ -6,8 +6,9 @@ fractions, and products are schoolbook convolutions.  The inverse
 fixes one coefficient at a time straight from the defining equation,
 and odd roots and powers come from 2-adic coordinates, rebuilt with
 shifts and XORs.  Like the package, coordinate_power divides by k as
-k**-1 modulo a power of 2, so the schoolbook inverse and the tests'
-raise-back round trips are the checks that do not share that idea.
+k**-1 modulo a power of 2; lifted_root does not: it fixes one
+coefficient of an odd root per step from convolutions alone, as the
+schoolbook inverse does for the inverse.
 The reference spread and compress move one coefficient at a time,
 where the package re-grids a whole body at once with shift-and-mask
 rounds.  The reference text codec parses, factors and formats with exact Fractions
@@ -188,6 +189,27 @@ def coordinate_power(bits: int, p: int, k: int, prec: int) -> int:
             u = (u ^ u << m) & mask
             c &= c - 1
     return u
+
+
+def lifted_root(bits: int, k: int, prec: int) -> int:
+    """(bits + O(t**prec))**(1/k) for a unit and odd k, by linear lifting.
+
+    If r' is the root modulo t**j, then r = r' + c * t**j + ... and
+    r**k = r'**k + k * c * t**j + ..., since r' = 1 + O(t); k is odd,
+    so c is coefficient j of a - r'**k.  r'**k is square-and-multiply
+    by convolve_mod2, truncated at t**(j + 1).
+    """
+    a = bits_to_coeffs(bits, prec)
+    assert a[0] == 1 and k & 1
+    r = [1]
+    for j in range(1, prec):
+        power, base, e = [1], r, k
+        while e:
+            if e & 1:
+                power = convolve_mod2(power, base, j + 1)
+            base, e = convolve_mod2(base, base, j + 1), e >> 1
+        r.append(a[j] ^ power[j])
+    return coeffs_to_bits(r)
 
 
 def coordinates_match(got: dict, want: dict, prec: int) -> bool:
@@ -446,6 +468,25 @@ def field(p: int, n: int):
     return elements, [1, *[0] * (n - 1)], mul
 
 
+def packed_field(n: int):
+    """(nonzero elements, one, product) of F_{2**n}, each element an int
+    below 2**n whose bit i is the coefficient of x**i: one shift and
+    XOR per bit of b, reduced by first_irreducible(2, n) as it shifts."""
+    f = sum(c << i for i, c in enumerate(first_irreducible(2, n)))
+
+    def mul(a, b):
+        out = 0
+        while b:
+            if b & 1:
+                out ^= a
+            a, b = a << 1, b >> 1
+            if a >> n:
+                a ^= f
+        return out
+
+    return range(1, 1 << n), 1, mul
+
+
 def field_power(x, e: int, one, mul):
     out = one
     while e:
@@ -468,7 +509,7 @@ def field_oracle(p: int, n: int) -> FqVerdict:
     if q == 2:
         return FqVerdict(True, None, 0)
     ell = next(d for d in range(2, q) if (q - 1) % d == 0)
-    elements, one, mul = field(p, n)
+    elements, one, mul = packed_field(n) if p == 2 else field(p, n)
     if any(field_power(x, ell, one, mul) != one for x in elements):
         return FqVerdict(False)
     dim, rest = 0, q - 1

@@ -7,7 +7,9 @@ Run it from the repository root on any supported interpreter:
 It replays the golden CLI transcripts of tests/cli_golden.json through
 `cli.main`, runs the four demos, checks powers a**(p/k) from
 `series._power` against the 2-adic coordinates of tests/oracles.py
-(also for p at or above 2**s and k = 3**2000),
+(also for p at or above 2**s and k = 3**2000), checks odd roots from
+`series._power`, `unit_root` and the scalar action by 1/k against the
+linear lifting of tests/oracles.lifted_root,
 checks `bitops.clmul` against a plain shift-and-XOR product on both
 sides of each comb cutoff and of the window switch, checks one 4-bit
 comb product at stride 3 against schoolbook convolution, and checks the
@@ -39,45 +41,29 @@ where pytest is installed.
 """
 
 import copy
-import io
 import json
 import os
 import pickle
 import random
 import subprocess
 import sys
-from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 from pathlib import Path
-from unittest import mock
 
 from f2puiseux import (AxiomCheck, AxiomReport, DenominatorOverflow,
                        F2Series, FqVerdict, L0Element, ParseError, PrimePower,
                        PuiseuxUnit, bitops, elementary_abelian_oracle,
-                       parse_element, prime_power_scan, series)
+                       parse_element, prime_power_scan, scalar_mul_unit,
+                       series, unit_root)
 from f2puiseux import finfield
-from f2puiseux.cli import main
 
-from argv_fuzz import broken_rule, draws
+from argv_fuzz import broken_rule, draws, transcript
 from oracles import (bits_to_coeffs, coeffs_to_bits, convolve_mod2,
-                     coordinates_match, field_oracle,
+                     coordinates_match, field_oracle, lifted_root,
                      reference_parse_element, reference_prime_power_scan,
                      reference_spread, unit_coordinates)
 
 ROOT = Path(__file__).resolve().parents[1]
-
-
-def transcript(argv):
-    """One `main` call as {argv, code, out, err}, help text at 80 columns."""
-    out, err = io.StringIO(), io.StringIO()
-    with mock.patch.dict(os.environ, {"COLUMNS": "80"}), \
-            redirect_stdout(out), redirect_stderr(err):
-        try:
-            code = main(argv)
-        except SystemExit as exc:
-            code = exc.code
-    return {"argv": argv, "code": code, "out": out.getvalue(),
-            "err": err.getvalue()}
 
 
 def golden():
@@ -119,6 +105,26 @@ def powers():
                                      {n: p * c for n, c in want.items()},
                                      prec):
                 bad.append((prec, p, k))
+    return cases, bad
+
+
+def odd_roots():
+    # a**(1/k) from _power, unit_root and the scalar action by 1/k
+    # against linear lifting, which never inverts k modulo 2**s
+    rng = random.Random(13)
+    cases, bad = 0, []
+    for prec in (1, 2, 3, 31, 64, 65, 128):
+        for k in (1, 3, 5, 7, 15, 31):
+            bits = rng.getrandbits(prec) | 1
+            u = PuiseuxUnit(rng.choice((1, 2, 3)), F2Series(bits, prec))
+            den, body = u.den, u.body
+            want = lifted_root(body.coeffs, k, body.prec)
+            roots = (unit_root(u, k), scalar_mul_unit(Fraction(1, k), u))
+            cases += 1
+            if series._power(body.coeffs, 1, k, body.prec) != want or any(
+                    (r.den, r.body.coeffs, r.body.prec)
+                    != (den, want, body.prec) for r in roots):
+                bad.append((prec, k))
     return cases, bad
 
 
@@ -302,7 +308,7 @@ def census():
 def field_census():
     # is_space, scalar_order and dim of both routes against the oracle
     # that multiplies in F_q itself, on every prime power up to 2**13;
-    # the Tier-1 suite runs the same check up to 2**11
+    # the Tier-1 suite runs the same check
     rows = prime_power_scan(1 << 13)
     bad = []
     for pp, verdict, oracle in rows:
@@ -382,6 +388,7 @@ if __name__ == "__main__":
     failed = False
     for name, part in (("golden transcripts", golden), ("demos", demos),
                        ("powers against coordinates", powers),
+                       ("odd roots against linear lifting", odd_roots),
                        ("clmul against shift-and-XOR", kernel),
                        ("4-bit comb at stride 3 against convolution",
                         comb_stride3),

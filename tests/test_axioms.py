@@ -52,6 +52,24 @@ class TestVectorSpace:
             check_vector_space_axioms(5, 16, seed=1, scalar_bound=0)
 
 
+@pytest.mark.parametrize("harness,bound,bad,message", [
+    (lambda samples, bound: check_vector_space_axioms(
+        samples, 16, seed=1, scalar_bound=bound), 3, 0, "scalar_bound"),
+    (lambda samples, bound: check_torsion_free(samples, bound, 64, seed=1),
+     8, 1, "n_max"),
+    (lambda samples, bound: check_root_bijectivity(samples, bound, 16,
+                                                   seed=1), 4, 1, "k_max")],
+    ids=["vector-space", "torsion", "bijectivity"])
+def test_sample_count_checked_by_the_shared_loop(harness, bound, bad,
+                                                 message):
+    # each harness checks its own parameters first, then the shared
+    # loop checks the sample count before it draws
+    with pytest.raises(ValueError, match="^samples must be >= 1$"):
+        harness(0, bound)
+    with pytest.raises(ValueError, match=f"^{message} must be >= {bad + 1}$"):
+        harness(0, bad)
+
+
 class TestTorsion:
     def test_clean_run_passes(self):
         report = check_torsion_free(50, 32, 64, seed=7)

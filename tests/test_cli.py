@@ -1,11 +1,9 @@
 import copy
 import hashlib
-import io
 import json
 import os
 import subprocess
 import sys
-from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 from unittest import mock
 
@@ -13,7 +11,8 @@ import pytest
 
 from f2puiseux.cli import build_parser, main
 
-from argv_fuzz import broken_rule, draws
+from argv_fuzz import broken_rule, draws, transcript
+from test_axioms import lossy_mul  # noqa: F401  (a fixture)
 from test_puiseux import LONG_GRID_ERROR, LONG_GRID_TEXT
 
 
@@ -170,6 +169,22 @@ class TestHarnessCommands:
                            "8", "--aprec", "32", "--seed", "3")
         assert code == 0
         assert "result: PASS" in out
+
+    def test_counterexample(self, capsys, lossy_mul):
+        # the lossy product of tests/test_axioms.py breaks torsion-freeness
+        # at sample 2; the report names it and the run exits 1
+        argv = ["torsion", "--samples", "20", "--nmax", "4", "--aprec", "1",
+                "--seed", "42"]
+        witness = "sample 2: n=4 u=1 + x^(1/6) + x^(2/3) + O(x^(1))"
+        code, out, _ = run(capsys, *argv)
+        assert code == 1
+        assert f"\n    counterexample: {witness}\n" in out
+        assert out.endswith("\nresult: FAIL\n")
+        code, records, _ = run_records(capsys, *argv)
+        assert code == 1
+        (record,) = records
+        assert record["output"]["passed"] is False
+        assert record["output"]["checks"][0]["counterexample"] == witness
 
 
 class TestFqScan:
@@ -344,19 +359,6 @@ CASES = [
     *_both("--den-cap", "5", "root", "1 + x^(2/3) + O(x^(4/3))", "2"),
     *_both("--den-cap", "5", "scalar-mul", "1/2", "1 + x^(2/3) + O(x^(4/3))"),
 ]
-
-
-def transcript(argv):
-    """One `main` call as {argv, code, out, err}, help text at 80 columns."""
-    out, err = io.StringIO(), io.StringIO()
-    with mock.patch.dict(os.environ, {"COLUMNS": "80"}), \
-            redirect_stdout(out), redirect_stderr(err):
-        try:
-            code = main(argv)
-        except SystemExit as exc:
-            code = exc.code
-    return {"argv": argv, "code": code, "out": out.getvalue(),
-            "err": err.getvalue()}
 
 
 @pytest.mark.parametrize(

@@ -1,3 +1,4 @@
+import random
 import re
 import sys
 import threading
@@ -6,7 +7,7 @@ from bisect import bisect_right
 import pytest
 
 from oracles import (field, field_oracle, field_power, first_irreducible,
-                     reference_prime_power_scan)
+                     packed_field, reference_prime_power_scan)
 
 from f2puiseux import finfield
 from f2puiseux import (FqVerdict, OutOfRange, PrimePower,
@@ -117,6 +118,19 @@ class TestMersenneExponent:
         assert mersenne_exponent(6) is None
         assert mersenne_exponent(2) is None
         assert mersenne_exponent(1) is None
+
+    def test_sequence_needs_exponent_three(self):
+        with pytest.raises(ValueError,
+                           match="^the sequence test needs exponent >= 3$"):
+            lucas_lehmer(2)
+
+    def test_disagreeing_methods_raise(self, monkeypatch):
+        # mersenne_exponent reads lucas_lehmer from its module, so a
+        # wrong answer there must surface, not pass as a verdict
+        monkeypatch.setattr(finfield, "lucas_lehmer", lambda r: False)
+        with pytest.raises(AssertionError, match="^trial division and "
+                           "Lucas-Lehmer disagree on 2\\*\\*7 - 1$"):
+            mersenne_exponent(127)
 
     def test_methods_cross_checked(self):
         # the all-ones candidates below 2^21, by both routes
@@ -492,9 +506,10 @@ class TestFieldOracle:
     """Both census routes against an oracle that multiplies in F_q
     itself and never assumes that F_q^x is cyclic."""
 
-    def test_both_routes_to_2_11(self):
-        rows = prime_power_scan(1 << 11)
-        assert len(rows) == len(reference_prime_power_scan(1 << 11))
+    def test_both_routes_to_2_13(self):
+        # the q = 2**13 row walks every element of F_8192, packed
+        rows = prime_power_scan(1 << 13)
+        assert len(rows) == len(reference_prime_power_scan(1 << 13)) == 1078
         for pp, verdict, oracle in rows:
             want = field_oracle(pp.p, pp.n)
             for got in (verdict, oracle):
@@ -508,6 +523,22 @@ class TestFieldOracle:
         # irreducible: a factor of it would be a zero divisor
         elements, one, mul = field(p, n)
         assert all(field_power(x, p ** n - 1, one, mul) == one
+                   for x in elements)
+
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_packed_product_is_the_list_product(self, n):
+        # bit i of a packed element is coefficient i of its list
+        def unpack(a):
+            return [a >> i & 1 for i in range(n)]
+
+        elements, one, mul = packed_field(n)
+        _, list_one, list_mul = field(2, n)
+        assert unpack(one) == list_one
+        rng = random.Random(n)
+        for _ in range(200):
+            a, b = rng.choice(elements), rng.choice(elements)
+            assert unpack(mul(a, b)) == list_mul(unpack(a), unpack(b)), (a, b)
+        assert all(field_power(x, (1 << n) - 1, one, mul) == one
                    for x in elements)
 
     def test_first_irreducibles(self):

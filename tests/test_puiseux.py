@@ -14,7 +14,7 @@ from f2puiseux import (DenominatorOverflow, F2Series, Indistinguishable,
 from f2puiseux.bitops import spread, support_gcd
 from f2puiseux.puiseux import _act
 
-from oracles import (coordinate_power, coordinates_match,
+from oracles import (coordinate_power, coordinates_match, lifted_root,
                      reference_scalar_mul_unit,
                      reference_spread, term_product, unit_coordinates,
                      unit_terms)
@@ -285,6 +285,30 @@ class TestUnitRoot:
         tampered = PuiseuxUnit(
             r.den, F2Series(r.body.coeffs ^ 2, r.body.prec))
         assert not units_agree(unit_pow(tampered, k), u)
+
+
+class TestOddRootsAgainstLifting:
+    """series._power, unit_root and the scalar action by 1/k against
+    oracles.lifted_root, which fixes one coefficient per step from
+    convolutions and never inverts k modulo a power of 2."""
+
+    def test_oracle_on_a_known_root(self):
+        # (1 + t + t**2)**3 = 1 + t modulo t**3
+        assert lifted_root(0b11, 3, 3) == 0b111
+
+    @pytest.mark.parametrize("prec", [1, 2, 3, 31, 64, 65, 128])
+    def test_odd_roots(self, prec):
+        rng = random.Random(prec)
+        for k in (1, 3, 5, 7, 15, 31):
+            bits = rng.getrandbits(prec) | 1
+            assert series._power(bits, 1, k, prec) == lifted_root(
+                bits, k, prec), k
+            # an odd root stays on the grid and precision of its unit
+            u = U(rng.choice((1, 2, 3)), bits, prec)
+            den, body = u.den, u.body
+            want = den, lifted_root(body.coeffs, k, body.prec), body.prec
+            for got in (unit_root(u, k), scalar_mul_unit(Q(1, k), u)):
+                assert (got.den, got.body.coeffs, got.body.prec) == want, k
 
 
 class TestScalarAction:
