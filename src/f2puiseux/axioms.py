@@ -174,7 +174,7 @@ _VS_LAWS = (
 
 def check_vector_space_axioms(samples: int, aprec, seed: int,
                               scalar_bound: int, *,
-                              den_cap: int | None = DEFAULT_DEN_CAP
+                              den_cap: int = DEFAULT_DEN_CAP
                               ) -> AxiomReport:
     """Test the rational vector-space laws on random elements.
 
@@ -218,7 +218,7 @@ def check_vector_space_axioms(samples: int, aprec, seed: int,
 
 
 def check_torsion_free(samples: int, n_max: int, aprec, seed: int, *,
-                       den_cap: int | None = DEFAULT_DEN_CAP) -> AxiomReport:
+                       den_cap: int = DEFAULT_DEN_CAP) -> AxiomReport:
     """Confirm that no sampled nonidentity unit has a power equal to 1.
 
     A power with an even exponent doubles the valuation of u - 1 per
@@ -265,7 +265,7 @@ _BIJ_LAWS = (
 
 
 def check_root_bijectivity(samples: int, k_max: int, aprec, seed: int, *,
-                           den_cap: int | None = DEFAULT_DEN_CAP
+                           den_cap: int = DEFAULT_DEN_CAP
                            ) -> AxiomReport:
     """Round-trip every power map against its root, both ways."""
     if k_max < 2:

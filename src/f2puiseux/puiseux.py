@@ -24,8 +24,10 @@ support_gcd.  The scalar action skips the check for an odd power: if
 u**p, p odd, lived on a coarser grid, its unique p-th root u would live
 there too, so a normalized u has normalized odd powers.
 
-Grid denominators are bounded by a per-call cap (default 2**16) so
-that runaway exponent towers fail loudly instead of exhausting memory.
+Every finer grid the package builds is first checked against one
+always-on den cap (per call, default 2**16), so that runaway exponent
+towers fail loudly instead of exhausting memory.  Equality never
+builds a common grid: it reads each unit on its own grid.
 Values are immutable and every operation is a pure function.
 """
 
@@ -48,8 +50,8 @@ from .series import F2Series
 DEFAULT_DEN_CAP = 1 << 16
 
 
-def _check_den(den: int, den_cap: int | None) -> None:
-    if den_cap is not None and den > den_cap:
+def _check_den(den: int, den_cap: int) -> None:
+    if den > den_cap:
         raise DenominatorOverflow(
             f"grid denominator {_brief(den)} exceeds the cap "
             f"{_brief(den_cap)}")
@@ -110,49 +112,44 @@ class PuiseuxUnit(Value):
         return f"PuiseuxUnit({format_unit(self)})"
 
 
-def _common_grid(u: PuiseuxUnit, v: PuiseuxUnit,
-                 den_cap: int | None = None) -> tuple[int, int]:
-    """The common grid 1/den of u and v, checked against the cap before
-    anything is spread, and the smaller precision index on it."""
-    d = lcm(u.den, v.den)
-    _check_den(d, den_cap)
-    return d, min(u.body.prec * (d // u.den), v.body.prec * (d // v.den))
-
-
-def _on_grid(u: PuiseuxUnit, den: int, prec: int) -> int:
-    """Body bits of u re-read on the grid 1/den, below the index prec.
-
-    The body is truncated on its own grid first, so nothing beyond the
-    common precision is spread.
-    """
-    m = den // u.den
-    return spread(trunc_bits(u.body.coeffs, -(-prec // m)), m)
-
-
 def units_agree(u: PuiseuxUnit, v: PuiseuxUnit) -> bool:
-    """Equality on a common grid at the smaller of the two precisions."""
-    d, p = _common_grid(u, v)
-    return _on_grid(u, d, p) == _on_grid(v, d, p)
+    """Equality at the smaller of the two precisions, each body read on
+    its own grid: equal exponent sets have one coarsest grid and the
+    same bits on it, so no common grid is built.  Truncation can
+    coarsen a body's grid, so each is reduced by its support_gcd."""
+    a = trunc_bits(u.body.coeffs, -(-v.body.prec * u.den // v.den))
+    b = trunc_bits(v.body.coeffs, -(-u.body.prec * v.den // u.den))
+    if u.den == v.den:
+        return a == b
+    g, h = support_gcd(a, u.den), support_gcd(b, v.den)
+    return u.den // g == v.den // h and compress(a, g) == compress(b, h)
 
 
 def unit_mul(u: PuiseuxUnit, v: PuiseuxUnit, *,
-             den_cap: int | None = DEFAULT_DEN_CAP) -> PuiseuxUnit:
+             den_cap: int = DEFAULT_DEN_CAP) -> PuiseuxUnit:
     """Product in the unit group; precision is the minimum of the inputs'."""
-    d, p = _common_grid(u, v, den_cap)
     if u.den > v.den:
         u, v = v, u
-    # u is on the coarser grid: it multiplies there, never spread
-    body = series._mul_spread(_on_grid(v, d, p), u.body.coeffs, d // u.den, p)
+    # the common grid 1/d, checked against the cap before anything is
+    # spread, and the smaller precision index p on it
+    d = lcm(u.den, v.den)
+    _check_den(d, den_cap)
+    m = d // v.den
+    p = min(u.body.prec * (d // u.den), v.body.prec * m)
+    # u is on the coarser grid: it multiplies there, never spread.  v is
+    # truncated on its own grid first, so nothing beyond p is spread
+    body = series._mul_spread(spread(trunc_bits(v.body.coeffs, -(-p // m)), m),
+                              u.body.coeffs, d // u.den, p)
     return PuiseuxUnit(d, F2Series(body, p))
 
 
 def unit_inv(u: PuiseuxUnit) -> PuiseuxUnit:
     """Inverse at fixed grid and precision."""
-    return _act(u, -1, 1, None)
+    return _act(u, -1, 1, DEFAULT_DEN_CAP)  # no root: cap unread
 
 
 def unit_sqrt(u: PuiseuxUnit, *,
-              den_cap: int | None = DEFAULT_DEN_CAP) -> PuiseuxUnit:
+              den_cap: int = DEFAULT_DEN_CAP) -> PuiseuxUnit:
     """The square root: same coefficients on a twice-finer grid.
 
     Always defined; the precision halves.  The cap applies to the grid
@@ -163,7 +160,7 @@ def unit_sqrt(u: PuiseuxUnit, *,
     return r
 
 
-def _act(u: PuiseuxUnit, p: int, q: int, den_cap: int | None) -> PuiseuxUnit:
+def _act(u: PuiseuxUnit, p: int, q: int, den_cap: int) -> PuiseuxUnit:
     # u**(p/q): one series._power for the odd part of q, then a square
     # root per factor of 2, each checked against the cap as it is taken.
     # With 2**t the largest power of 2 dividing p, den and prec, the body
@@ -193,11 +190,11 @@ def _normalized(den: int, body: F2Series) -> PuiseuxUnit:
 
 def unit_pow(u: PuiseuxUnit, e: int) -> PuiseuxUnit:
     """u**e for any integer e; e = 0 gives 1 at the same precision."""
-    return _act(u, e, 1, None)
+    return _act(u, e, 1, DEFAULT_DEN_CAP)  # no root: cap unread
 
 
 def unit_root(u: PuiseuxUnit, k: int, *,
-              den_cap: int | None = DEFAULT_DEN_CAP) -> PuiseuxUnit:
+              den_cap: int = DEFAULT_DEN_CAP) -> PuiseuxUnit:
     """The unique k-th root with residue 1, for k >= 1.
 
     The odd part of k lifts at full precision; each factor of 2 halves
@@ -209,7 +206,7 @@ def unit_root(u: PuiseuxUnit, k: int, *,
 
 
 def scalar_mul_unit(r: Fraction | int, u: PuiseuxUnit, *,
-                    den_cap: int | None = DEFAULT_DEN_CAP) -> PuiseuxUnit:
+                    den_cap: int = DEFAULT_DEN_CAP) -> PuiseuxUnit:
     """The scalar action r . u := u**r = (u**num)**(1/den)."""
     r = Fraction(r)
     return _act(u, r.numerator, r.denominator, den_cap)
@@ -256,7 +253,7 @@ def decompose(a: L0Element) -> tuple[Fraction, PuiseuxUnit]:
 
 def decompose_raw(exponents: Iterable[Fraction | int],
                   aprec: Fraction | int, *,
-                  den_cap: int | None = DEFAULT_DEN_CAP) -> L0Element:
+                  den_cap: int = DEFAULT_DEN_CAP) -> L0Element:
     """Factor a raw series sum(x**e) + O(x**aprec) as x**val * unit.
 
     Exponents may be negative and repeat (coefficients are mod 2); the
@@ -281,7 +278,7 @@ def decompose_raw(exponents: Iterable[Fraction | int],
 
 
 def _plan(nums, dens, pn: int, pd: int,
-          den_cap: int | None) -> L0Element | None:
+          den_cap: int) -> L0Element | int:
     """x**val * unit for the terms x**(nums[i]/dens[i]) + O(x**(pn/pd)),
     or, unless the exponents ascend strictly below the precision, the
     index of the first bad term: the first of the rising prefix at or
@@ -301,9 +298,9 @@ def _plan(nums, dens, pn: int, pd: int,
     big = 1
     for d in den_of.values():
         big = lcm(big, d)
-        if den_cap is not None and big > den_cap:
+        if big > den_cap:
             break
-    within = den_cap is None or big <= den_cap
+    within = big <= den_cap
     # the key of n/d: within the cap n * (big // d), past it Fraction(n, d)
     scale = {d: big // n for d, n in den_of.items()} if within else den_of
     keys = list(map(mul if within else Fraction, map(int, nums),
@@ -333,7 +330,7 @@ def _plan(nums, dens, pn: int, pd: int,
 
 
 def element_mul(a: L0Element, b: L0Element, *,
-                den_cap: int | None = DEFAULT_DEN_CAP) -> L0Element:
+                den_cap: int = DEFAULT_DEN_CAP) -> L0Element:
     """Multiply: valuations add exactly, units multiply."""
     return L0Element(a.val + b.val,
                      unit_mul(a.unit, b.unit, den_cap=den_cap))
@@ -350,7 +347,7 @@ def element_pow(a: L0Element, e: int) -> L0Element:
 
 
 def element_scalar_mul(r: Fraction | int, a: L0Element, *,
-                       den_cap: int | None = DEFAULT_DEN_CAP) -> L0Element:
+                       den_cap: int = DEFAULT_DEN_CAP) -> L0Element:
     """The scalar action on the product group, componentwise."""
     r = Fraction(r)
     return L0Element(r * a.val,
@@ -358,7 +355,7 @@ def element_scalar_mul(r: Fraction | int, a: L0Element, *,
 
 
 def element_root(a: L0Element, k: int, *,
-                 den_cap: int | None = DEFAULT_DEN_CAP) -> L0Element:
+                 den_cap: int = DEFAULT_DEN_CAP) -> L0Element:
     """The unique k-th root whose unit part has residue 1."""
     unit = unit_root(a.unit, k, den_cap=den_cap)  # checks k before a.val / k
     return L0Element(a.val / k, unit)

@@ -140,7 +140,7 @@ def _unconvertible(num, den) -> bool:
 
 
 def parse_element(s: str, *,
-                  den_cap: int | None = DEFAULT_DEN_CAP) -> L0Element:
+                  den_cap: int = DEFAULT_DEN_CAP) -> L0Element:
     """Parse element text into its canonical factored form.
 
     The tail O(x^(P)) and the valuation factor are read first, then the
@@ -215,7 +215,7 @@ def parse_element(s: str, *,
 
 
 def parse_unit(s: str, *,
-               den_cap: int | None = DEFAULT_DEN_CAP) -> PuiseuxUnit:
+               den_cap: int = DEFAULT_DEN_CAP) -> PuiseuxUnit:
     """Parse unit text; reject anything with a nonzero valuation."""
     element = parse_element(s, den_cap=den_cap)
     if element.val != 0:

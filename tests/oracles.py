@@ -11,7 +11,10 @@ coefficient of an odd root per step from convolutions alone, as the
 schoolbook inverse does for the inverse.
 The reference spread and compress move one coefficient at a time,
 where the package re-grids a whole body at once with shift-and-mask
-rounds.  The reference text codec parses, factors and formats with exact Fractions
+rounds.  Reference unit equality compares the two sets of exponents
+below the smaller precision as Fractions, where the package reduces
+each body to its coarsest grid with support_gcd and compress.  The
+reference text codec parses, factors and formats with exact Fractions
 and a set of exponents, term by term, where the package works on
 integer grid indices.  The reference prime-power scan factors every
 integer by trial division and builds each row's verdicts afresh, where
@@ -38,7 +41,7 @@ from bisect import bisect_left
 from collections import Counter
 from fractions import Fraction
 from itertools import product
-from math import lcm
+from math import ceil, lcm
 
 from f2puiseux import (DenominatorOverflow, ElementSyntaxError,
                        ExponentNotIncreasing, F2Series, FqVerdict,
@@ -223,6 +226,19 @@ def unit_terms(u: PuiseuxUnit) -> dict[Fraction, int]:
     """Exponent -> coefficient view of a unit, below its precision."""
     return {Fraction(j, u.den): 1
             for j in range(u.body.prec) if (u.body.coeffs >> j) & 1}
+
+
+def reference_units_agree(u: PuiseuxUnit, v: PuiseuxUnit) -> bool:
+    """Unit equality as the sets of exponents below the smaller
+    precision, read coefficient by coefficient as Fractions, whatever
+    grid each unit is stored on."""
+    aprec = min(Fraction(u.body.prec, u.den), Fraction(v.body.prec, v.den))
+
+    def support(w):
+        below = bits_to_coeffs(w.body.coeffs, w.body.prec)[
+            :ceil(aprec * w.den)]
+        return [Fraction(j, w.den) for j, c in enumerate(below) if c]
+    return support(u) == support(v)  # both ascend
 
 
 def term_product(tu: dict, tv: dict, aprec: Fraction) -> dict[Fraction, int]:

@@ -9,7 +9,10 @@ It replays the golden CLI transcripts of tests/cli_golden.json through
 `series._power` against the 2-adic coordinates of tests/oracles.py
 (also for p at or above 2**s and k = 3**2000), checks odd roots from
 `series._power`, `unit_root` and the scalar action by 1/k against the
-linear lifting of tests/oracles.lifted_root,
+linear lifting of tests/oracles.lifted_root, checks unit equality
+against the exponent sets of tests/oracles.reference_units_agree on
+seeded twins and, under a 1 MiB allocation bound, on the coprime grids
+1/65536 and 1/65535,
 checks `bitops.clmul` against a plain shift-and-XOR product on both
 sides of each comb cutoff and of the window switch, checks one 4-bit
 comb product at stride 3 against schoolbook convolution, and checks the
@@ -47,6 +50,7 @@ import pickle
 import random
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -54,14 +58,15 @@ from f2puiseux import (AxiomCheck, AxiomReport, DenominatorOverflow,
                        F2Series, FqVerdict, L0Element, ParseError, PrimePower,
                        PuiseuxUnit, bitops, elementary_abelian_oracle,
                        parse_element, prime_power_scan, scalar_mul_unit,
-                       series, unit_root)
+                       series, unit_root, units_agree)
 from f2puiseux import finfield
 
 from argv_fuzz import broken_rule, draws, transcript
 from oracles import (bits_to_coeffs, coeffs_to_bits, convolve_mod2,
                      coordinates_match, field_oracle, lifted_root,
                      reference_parse_element, reference_prime_power_scan,
-                     reference_spread, unit_coordinates)
+                     reference_spread, reference_units_agree,
+                     unit_coordinates)
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -125,6 +130,44 @@ def odd_roots():
                     (r.den, r.body.coeffs, r.body.prec)
                     != (den, want, body.prec) for r in roots):
                 bad.append((prec, k))
+    return cases, bad
+
+
+def unit_equality():
+    # pairs on grids up to 1/12, half of them a unit and its twin
+    # re-gridded by m at a precision index that may truncate it or block
+    # normalization, a third of the twins one bit off, against the
+    # exponent sets; then the coprime grids 1/65536 and 1/65535, 4096
+    # steps each, under 1 MiB: the common grid would spread each body to
+    # 2.7e8 bits
+    rng = random.Random(18)
+    cases, bad = 0, []
+    for _ in range(2000):
+        u = PuiseuxUnit(rng.randint(1, 12),
+                        F2Series(rng.getrandbits(16) | 1, rng.randint(1, 16)))
+        m = rng.randint(1, 4)
+        den, prec = u.den * m, rng.randint(1, u.body.prec * m + 3)
+        bits = reference_spread(u.body.coeffs, m) & (1 << prec) - 1
+        if prec > 1 and rng.random() < 0.3:
+            bits ^= 1 << rng.randrange(1, prec)
+        v = PuiseuxUnit(den, F2Series(bits, prec))
+        if rng.random() < 0.5:
+            v = PuiseuxUnit(rng.randint(1, 12),
+                            F2Series(rng.getrandbits(16) | 1, 16))
+        cases += 1
+        if units_agree(u, v) != reference_units_agree(u, v):
+            bad.append((u.den, u.body.coeffs, v.den, v.body.coeffs))
+    u, v = (PuiseuxUnit(den, F2Series(rng.getrandbits(4096) | 1, 4096))
+            for den in (1 << 16, (1 << 16) - 1))
+    tracemalloc.start()
+    try:
+        agree = units_agree(u, v), units_agree(u, u)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    cases += 1
+    if agree != (False, True) or peak >= 1 << 20:
+        bad.append(("65536/65535", agree, peak))
     return cases, bad
 
 
@@ -389,6 +432,8 @@ if __name__ == "__main__":
     for name, part in (("golden transcripts", golden), ("demos", demos),
                        ("powers against coordinates", powers),
                        ("odd roots against linear lifting", odd_roots),
+                       ("unit equality against exponent sets",
+                        unit_equality),
                        ("clmul against shift-and-XOR", kernel),
                        ("4-bit comb at stride 3 against convolution",
                         comb_stride3),

@@ -724,7 +724,7 @@ class TestPastTheCap:
         with pytest.raises(Indistinguishable):
             decompose_raw(exps, 5, den_cap=50)
 
-    @pytest.mark.parametrize("den_cap", (None, 100))
+    @pytest.mark.parametrize("den_cap", (DEFAULT_DEN_CAP, 100))
     def test_farey_neighbours_in_any_order(self, den_cap):
         # neighbours in the Farey sequence of order 12 lie 1/(d * d')
         # apart, the least gap that decompose_raw's sort must resolve

@@ -5,18 +5,19 @@ from math import ceil, gcd, lcm
 
 import pytest
 
-from f2puiseux import (DenominatorOverflow, F2Series, Indistinguishable,
-                       L0Element, NotAUnit, PuiseuxUnit, compose, decompose,
-                       decompose_raw, element_inv, element_mul, element_pow,
-                       element_root, element_scalar_mul, elements_agree,
-                       format_unit, scalar_mul_unit, series, unit_inv,
-                       unit_mul, unit_pow, unit_root, unit_sqrt, units_agree)
+from f2puiseux import (DEFAULT_DEN_CAP, DenominatorOverflow, F2Series,
+                       Indistinguishable, L0Element, NotAUnit, PuiseuxUnit,
+                       compose, decompose, decompose_raw, element_inv,
+                       element_mul, element_pow, element_root,
+                       element_scalar_mul, elements_agree, format_unit,
+                       scalar_mul_unit, series, unit_inv, unit_mul, unit_pow,
+                       unit_root, unit_sqrt, units_agree)
 from f2puiseux.bitops import spread, support_gcd
 from f2puiseux.puiseux import _act
 
 from oracles import (coordinate_power, coordinates_match, lifted_root,
-                     reference_scalar_mul_unit,
-                     reference_spread, term_product, unit_coordinates,
+                     reference_scalar_mul_unit, reference_spread,
+                     reference_units_agree, term_product, unit_coordinates,
                      unit_terms)
 from test_series import comb_switch
 
@@ -189,6 +190,77 @@ class TestUnitMul:
             fine.den, fine.body.coeffs, fine.body.prec)
         assert not agree
         assert units_agree(dense, PuiseuxUnit.one(1 << 16, 1 << 16))
+
+
+def units_up_to(prec, dens):
+    """Every unit on each grid 1/den of dens, at each precision index
+    1..prec."""
+    return [U(den, (bits << 1) | 1, n) for den in dens
+            for n in range(1, prec + 1) for bits in range(1 << (n - 1))]
+
+
+def twin(rng, u):
+    """A unit equal to u at the common precision, or, now and then, one
+    bit away: u re-gridded by m, with a precision index that may block
+    normalization and random bits at or past u's precision, or u
+    truncated on its own grid."""
+    if rng.random() < 0.5:
+        m = rng.randint(1, 6)
+        prec = u.body.prec * m + rng.randint(-m + 1, 5)
+        bits = spread(u.body.coeffs, m) | rng.getrandbits(8) << u.body.prec * m
+        den = u.den * m
+    else:
+        den, prec = u.den, rng.randint(1, u.body.prec)
+        bits = u.body.coeffs
+    if prec > 1 and rng.random() < 0.3:
+        bits ^= 1 << rng.randrange(1, prec)
+    return U(den, bits, prec)
+
+
+class TestUnitsAgree:
+    """units_agree reads each body on its own grid, never on the common
+    one; the oracle compares exponent sets as Fractions."""
+
+    def test_every_pair_at_small_precision(self):
+        units = units_up_to(5, (1, 2, 3, 4, 6))
+        for u in units:
+            for v in units:
+                assert units_agree(u, v) == reference_units_agree(u, v), (
+                    stored(u), stored(v))
+
+    def test_seeded_pairs_and_twins(self):
+        # a quarter of the pairs independent, the rest a unit and its
+        # re-gridded, truncated or one-bit-perturbed twin, either way round
+        rng = random.Random(61)
+        agreed = 0
+        for _ in range(20000):
+            u = random_unit(rng, rng.randint(1, 35), rng.randint(1, 24))
+            v = (random_unit(rng, rng.randint(1, 35), rng.randint(1, 24))
+                 if rng.random() < 0.25 else twin(rng, u))
+            if rng.random() < 0.5:
+                u, v = v, u
+            want = reference_units_agree(u, v)
+            assert units_agree(u, v) == want, (stored(u), stored(v))
+            agreed += want
+        assert 5000 < agreed < 15000
+
+    def test_coprime_grids_compare_without_a_common_grid(self):
+        # on the grids 1/65536 and 1/65535, 4096 steps each, the common
+        # grid would spread each body to about 2.7e8 bits
+        rng = random.Random(67)
+        u = random_unit(rng, 1 << 16, 4096)
+        v = random_unit(rng, (1 << 16) - 1, 4096)
+        # u re-gridded by 3, its odd precision index blocking normalization
+        w = U(3 << 16, spread(u.body.coeffs, 3), 3 * 4096 + 1)
+        assert (u.den, v.den, w.den) == (1 << 16, (1 << 16) - 1, 3 << 16)
+        tracemalloc.start()
+        try:
+            agree = units_agree(u, v), units_agree(w, u), units_agree(v, w)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+        assert agree == (False, True, False)
 
 
 class TestUnitInv:
@@ -376,7 +448,7 @@ class TestScalarAction:
             for _ in range(2):
                 u = random_unit(rng, rng.choice((1, 2, 3)), prec)
                 r = Q(rng.randrange(-20, 21), rng.randrange(1, 50))
-                for cap in (None, 8):
+                for cap in (DEFAULT_DEN_CAP, 8):
                     try:
                         want = reference_scalar_mul_unit(r, u, den_cap=cap)
                     except DenominatorOverflow as exc:
@@ -446,7 +518,7 @@ class TestActPaths:
         for u in act_inputs(53, (1, 2, 5, 8, 12, 24, 48, 96)):
             for p, q in ((-1, 1), (3, 1), (-5, 1), (1, 3), (1, 5),
                          (-3, 7), (7, 9), (-1, 15)):
-                r = _act(u, p, q, None)
+                r = _act(u, p, q, DEFAULT_DEN_CAP)
                 assert support_gcd(r.body.coeffs,
                                    gcd(r.den, r.body.prec)) == 1
                 assert stored(r) == stored(by_constructor(u, p, q)), (
@@ -459,7 +531,7 @@ class TestActPaths:
             big = 1 << (u.body.prec - 1).bit_length()
             for p in (0, 2, -2, 6, -6, 8, -8, big, 3 * big):
                 for q in (1, 2, 3, 4, 12):
-                    got = _act(u, p, q, None)
+                    got = _act(u, p, q, DEFAULT_DEN_CAP)
                     assert stored(got) == stored(by_constructor(u, p, q)), (
                         stored(u), p, q)
 
