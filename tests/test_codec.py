@@ -12,6 +12,7 @@ import tracemalloc
 from fractions import Fraction as Q
 from functools import partial
 from math import gcd, lcm
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -27,22 +28,38 @@ from f2puiseux.textform import parse_rational
 from oracles import (reference_decompose_raw, reference_format_unit,
                      reference_parse_element)
 from test_puiseux import LONG_GRID_ERROR, LONG_GRID_TEXT
-from test_textform import token_text
 
-DENS = (1, 2, 3, 4, 6, 8, 12)
-# the separators of the benchmark's wire workload
-SEPARATORS = (" + ", "+", "  +   ", " +", "+ ")
+# the grids, separators, exponent texts and malformed pool of the
+# benchmark's wire workload, read from the benchmark itself
+sys.path.append(str(Path(__file__).resolve().parents[1] / "perfbench"))
+from workloads import (DENS, _SEPARATORS as SEPARATORS,  # noqa: E402
+                       Wire, _exponent as _exponent_text, _join)
+
 HEAD_SEPARATORS = ("*", " * ", "  *")
 
 
-def _exponent_text(rng, e):
-    num, den = e.numerator, e.denominator
-    if den == 1 and rng.random() < 0.5:
-        return f"x^{num}"
-    if rng.random() < 0.25:  # an unreduced fraction
-        k = rng.randint(2, 3)
-        num, den = num * k, den * k
-    return f"x^({num})" if den == 1 else f"x^({num}/{den})"
+_TOKENS = ["1", "x^(", "/", ")", "O(", "+", "*", "-", " "] + list("0123456789")
+
+
+def _clip_numbers(text):
+    # at most three digits per number keeps any accepted series small
+    return re.sub(r"\d{4,}", lambda m: m.group()[:3], text)
+
+
+_exponent = st.builds("{}{}{}".format, st.sampled_from(["", "-"]),
+                      st.integers(0, 999),
+                      st.one_of(st.just(""),
+                                st.integers(0, 999).map("/{}".format)))
+_o_term = _exponent.map("O(x^({}))".format)
+# whole terms and a closing O(.) now and then, so that some sequences
+# get past the syntax checks
+_piece = st.one_of(st.sampled_from(_TOKENS),
+                   _exponent.map("x^({})".format), _o_term)
+_separator = st.sampled_from([" + ", "+", "", " * "])
+_token_text = st.builds(
+    lambda pieces, last: _clip_numbers("".join(pieces) + last),
+    st.lists(st.builds(str.__add__, _piece, _separator), max_size=8),
+    st.one_of(_o_term, _piece))
 
 
 def _element_parts(rng, form, terms=None):
@@ -60,13 +77,6 @@ def _element_parts(rng, form, terms=None):
     if form == "factored":
         head = f"{_exponent_text(rng, v)}{rng.choice(HEAD_SEPARATORS)}1"
     return [head] + rel + [f"O({_exponent_text(rng, prec - v)})"]
-
-
-def _join(rng, parts):
-    out = [rng.choice(("", " ")), parts[0]]
-    for p in parts[1:]:
-        out += [rng.choice(SEPARATORS), p]
-    return "".join(out)
 
 
 def _outcome(parse, render, text, **kwargs):
@@ -112,7 +122,7 @@ class TestParseAgainstReference:
         _agree(_join(rng, _element_parts(rng, form)),
                den_cap=rng.choice((1, 2, 3, 4, 6)))
 
-    @given(token_text)
+    @given(_token_text)
     @settings(max_examples=300, deadline=None)
     def test_token_sequences(self, text):
         _agree(text)
@@ -128,21 +138,8 @@ class TestParseAgainstReference:
         for seed in range(40):
             rng = random.Random(f"{defect}:{seed}")
             parts = _element_parts(rng, "unit", rng.randint(4, 12))
-            mid = rng.randrange(1, len(parts) - 2)
-            if defect == 0:
-                parts[mid], parts[mid + 1] = parts[mid + 1], parts[mid]
-            elif defect == 1:
-                parts = parts[:-1]
-            elif defect == 2:
-                parts[mid] = "x^(1/0)"
-            elif defect == 3:
-                parts.insert(-1, "x^(1000000)")
-            elif defect == 4:
-                parts[0] = "x^(1/2) * x^(1)"
-            else:
-                bad = parts[mid]
-                parts[mid] = (bad.replace(")", "", 1) if ")" in bad
-                              else bad + "(")
+            parts = _wire_defect(parts, defect,
+                                 rng.randrange(1, len(parts) - 2))
             assert isinstance(_agree(_join(rng, parts))[0], type)
 
     @pytest.mark.parametrize("text", [
@@ -586,9 +583,8 @@ class TestRestartAgainstReference:
             assert walks[0][0].count("+") <= 1, where
 
 
-def _wire_text(rng, terms, den, form, defect=None):
-    """An element text made as the benchmark's wire workload makes one;
-    defect(rng, parts) may change its terms before they are joined."""
+def _wire_text(rng, terms, den, form):
+    """An element text made as the benchmark's wire workload makes one."""
     span = 2 * terms
     rel = [Q(j, den) for j in sorted(rng.sample(range(1, span), terms - 1))]
     v = Q(rng.randint(-40, 40), rng.choice(DENS))
@@ -598,23 +594,7 @@ def _wire_text(rng, terms, den, form, defect=None):
     else:
         parts = (["1"] + [_exponent_text(rng, e) for e in rel]
                  + [f"O({_exponent_text(rng, Q(span, den))})"])
-    if defect:
-        parts = defect(rng, parts)
     return _join(rng, parts)
-
-
-def _wire_pool_text(i):
-    """The element text of the wire workload's malformed pool item i
-    (35 to 40, defects 0 to 5), drawn as the workload draws it."""
-    def defect(rng, parts):
-        parts = _wire_defect(parts, i - 35,
-                             rng.randrange(1, len(parts) - 2))
-        rng.choice(("inv", "decompose", "root", "compose"))  # the command
-        return parts
-
-    rng = random.Random(f"wire:{i}")
-    terms = int(2 ** (8 + 2 * rng.random()))
-    return _wire_text(rng, terms, rng.choice(DENS), "unit", defect)
 
 
 class TestWirePoolRestarts:
@@ -627,10 +607,12 @@ class TestWirePoolRestarts:
         (40, ElementSyntaxError, 511),
     ])
     def test_walk_reads_two_terms(self, item, error, position, monkeypatch):
-        text = _wire_pool_text(item)
+        argv, want = Wire(0).item(item)  # items do not depend on the seed
+        text = max(argv, key=len)  # the element text
         walks = _count_walks(monkeypatch)
         got = _agree(text)
         assert got[:2] == (error, position)
+        assert error.__name__ == want
         assert len(walks) == 1
         assert walks[0][0].count("+") <= 1
         assert text.count("+") > 40

@@ -16,6 +16,21 @@ from f2puiseux import (FqVerdict, OutOfRange, PrimePower,
 from f2puiseux.finfield import trial_division_prime
 
 
+@pytest.fixture
+def empty_store(monkeypatch):
+    """An empty prime-power row store for the test to grow."""
+    monkeypatch.setattr(finfield, "_store", (1, []))
+
+
+@pytest.fixture
+def mod_calls(monkeypatch):
+    """The first argument of every reduction the oracle makes."""
+    calls = []
+    monkeypatch.setattr(finfield, "mod",
+                        lambda a, b: calls.append(a) or a % b)
+    return calls
+
+
 class TestPrimePower:
     def test_fields(self):
         pp = PrimePower(2, 3)
@@ -231,19 +246,12 @@ class TestOracle:
         assert elementary_abelian_oracle(PrimePower(2, 18)) == FqVerdict(
             False)
 
-    def test_walk_reduces_every_element(self, monkeypatch):
+    def test_walk_reduces_every_element(self, mod_calls):
         # one reduction a * p' mod (q - 1) per element of Z/(q - 1), not
         # just the generator's
-        calls = []
-
-        def counting_mod(a, b):
-            calls.append(a)
-            return a % b
-
-        monkeypatch.setattr(finfield, "mod", counting_mod)
         assert elementary_abelian_oracle(PrimePower(2, 13)) == FqVerdict(
             True, 8191, 1)
-        assert calls == [a * 8191 for a in range(8191)]
+        assert mod_calls == [a * 8191 for a in range(8191)]
 
     def test_bound_enforced(self):
         with pytest.raises(OutOfRange):
@@ -313,15 +321,12 @@ class TestSieveCap:
             f"desk-scale limit")
 
 
+@pytest.mark.usefixtures("empty_store")
 class TestScanAgainstReference:
     """The scan takes a prefix of the stored prime-power rows and shares
     verdict values; the reference factors every integer in turn and
     builds each row afresh.  Each test starts from an empty row store,
     so the scans also grow it on the way."""
-
-    @pytest.fixture(autouse=True)
-    def empty_store(self, monkeypatch):
-        monkeypatch.setattr(finfield, "_store", (1, []))
 
     @pytest.mark.parametrize("include_oracle", [True, False])
     def test_matches_reference(self, include_oracle):
@@ -369,13 +374,10 @@ class CountingLock:
         return self.lock.__exit__(*exc)
 
 
+@pytest.mark.usefixtures("empty_store")
 class TestPrimeRowStore:
     """Scans share the row of every prime power through one store that
     only scans grow; each test starts from an empty store."""
-
-    @pytest.fixture(autouse=True)
-    def empty_store(self, monkeypatch):
-        monkeypatch.setattr(finfield, "_store", (1, []))
 
     def test_scans_in_any_order_match_reference(self):
         # grown, then prefixes at the bottom and the middle, then grown
@@ -487,19 +489,12 @@ class TestOracleBitSplit:
             assert elementary_abelian_oracle(pp) == want, pp.q
 
     @pytest.mark.parametrize("q", [3, 5, 17, 257, 65537])
-    def test_order_a_power_of_2(self, q, monkeypatch):
+    def test_order_a_power_of_2(self, q, mod_calls):
         # q - 1 = 2**m: the walk runs with p' = 2 and stops at the first
         # element whose order does not divide 2, unless the group is Z/2
-        calls = []
-
-        def counting_mod(a, b):
-            calls.append(a)
-            return a % b
-
-        monkeypatch.setattr(finfield, "mod", counting_mod)
         want = FqVerdict(True, 2, 1) if q == 3 else FqVerdict(False)
         assert elementary_abelian_oracle(PrimePower(q, 1)) == want
-        assert calls == [0, 2]
+        assert mod_calls == [0, 2]
 
 
 class TestFieldOracle:

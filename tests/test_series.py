@@ -627,12 +627,12 @@ LADDER_PRECS = sorted({(1 << j) + d for j in range(11) for d in (-1, 0, 1)}
                       - {0})
 
 
-class TestNewtonAgainstOracles:
+class TestPowerLadderAgainstOracles:
     """inv and kth_root_odd are the integer powers a**(-1 mod 2**s) and
-    a**(k**-1 mod 2**s); both must match the oracles (coefficient at a
-    time for the inverse, from 2-adic coordinates for the roots), and
-    their results at thousands of bits must multiply or power back.
-    The class keeps the name of the Newton loop these powers replaced."""
+    a**(k**-1 mod 2**s) of the _power ladder; both must match the
+    oracles (coefficient at a time for the inverse, from 2-adic
+    coordinates for the roots), and their results at thousands of bits
+    must multiply or power back."""
 
     @pytest.fixture
     def comb_calls(self, monkeypatch):
