@@ -29,9 +29,10 @@ scan up to it sieves again.  Rows are
 built without the constructor's primality check, since p comes off the
 sieve; they are frozen, so scans share them as safely as both routes
 share the "no" and the trivial answer.  Both routes still run on every
-row of every scan.  The oracle splits the power of 2 off an even q - 1
-by its lowest set bit and reduces every element of the cyclic group in
-one C-level `map`, so a row costs little beyond its two verdicts.
+row of every scan, and each answers the common "no" in one test: the
+rule on an odd p, the oracle on an even q - 1 other than its own lowest
+set bit, which an odd prime divides.  Only a q - 1 that is a prime
+power is walked, every element of the group reduced in one C-level `map`.
 The constructor refuses a p above the desk-scale limit and checks any
 other by trial division, at most 1024 odd divisors.  Trial division
 tries no divisor above that limit and raises OutOfRange instead.
@@ -69,7 +70,8 @@ def trial_division_prime(n: int) -> bool:
 
 
 def lucas_lehmer(r: int) -> bool:
-    """Lucas-Lehmer test of 2**r - 1 for odd prime exponent r >= 3."""
+    """Lucas-Lehmer test of 2**r - 1 for any r >= 3: a zero residue
+    proves 2**r - 1 prime, so a composite r reads False."""
     if r < 3:
         raise ValueError("the sequence test needs exponent >= 3")
     m = (1 << r) - 1
@@ -152,7 +154,7 @@ class FqVerdict(Value):
         object.__setattr__(self, "dim", dim)
 
 
-# frozen, so every route returns these two answers as shared values
+# frozen, so both routes share them; most rows get "no" after one test
 _NO = FqVerdict(False)
 _TRIVIAL = FqVerdict(True, None, 0)
 
@@ -174,11 +176,11 @@ def _smallest_prime_factor(n: int) -> int:
 def linear_space_verdict(pp: PrimePower) -> FqVerdict:
     """Closed-form rule: trivial group, order 2, or Mersenne order."""
     q = pp.q
+    if pp.p != 2:
+        return FqVerdict(True, 2, 1) if q == 3 else _NO
     if q == 2:
         return _TRIVIAL
-    if q == 3:
-        return FqVerdict(True, 2, 1)
-    if pp.p == 2 and mersenne_exponent(q - 1) is not None:
+    if mersenne_exponent(q - 1) is not None:
         return FqVerdict(True, q - 1, 1)
     return _NO
 
@@ -205,12 +207,13 @@ def elementary_abelian_oracle(pp: PrimePower) -> FqVerdict:
         while rest % p2 == 0:
             rest //= p2
             m += 1
+        if rest != 1:
+            return _NO  # two distinct odd primes divide the order
     else:
-        # 2**m divides the order exactly, m from its lowest set bit
-        p2, m = 2, (order & -order).bit_length() - 1
-        rest = order >> m
-    if rest != 1:
-        return _NO  # two distinct primes divide the order
+        low = order & -order  # the largest power of 2 dividing the order
+        if low != order:
+            return _NO  # an odd prime divides the order too
+        p2, m = 2, low.bit_length() - 1
     # a * p' mod (q - 1) for every element a, in C
     if any(map(mod, range(0, order * p2, p2), repeat(order))):
         return _NO  # element of order not dividing p'

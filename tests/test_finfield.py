@@ -496,6 +496,14 @@ class TestOracleBitSplit:
         assert elementary_abelian_oracle(PrimePower(q, 1)) == want
         assert mod_calls == [0, 2]
 
+    @pytest.mark.parametrize("q", [7, 11, 13, 25, 27, 49, 64, 4096, 65536])
+    def test_two_primes_end_before_the_walk(self, q, mod_calls):
+        # q - 1 has two distinct prime factors, an odd one beside 2 or
+        # two odd ones: "no" from the factoring alone, no element reduced
+        pp = PrimePower.from_q(q)
+        assert elementary_abelian_oracle(pp) == FqVerdict(False)
+        assert mod_calls == []
+
 
 class TestFieldOracle:
     """Both census routes against an oracle that multiplies in F_q
