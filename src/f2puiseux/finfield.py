@@ -28,11 +28,14 @@ growth publishes its q_max with the rows, even if none is new, so no
 scan up to it sieves again.  Rows are
 built without the constructor's primality check, since p comes off the
 sieve; they are frozen, so scans share them as safely as both routes
-share the "no" and the trivial answer.  Both routes still run on every
-row of every scan, and each answers the common "no" in one test: the
-rule on an odd p, the oracle on an even q - 1 other than its own lowest
-set bit, which an odd prime divides.  Only a q - 1 that is a prime
-power is walked, every element of the group reduced in one C-level `map`.
+share the "no" and the trivial answer.  Each route is a column a scan
+calls once on all its rows, so both still run on every row of every
+scan: one comprehension settles the common "no" inline (the rule on an
+odd p other than 3, the oracle on an even q - 1 other than its own
+lowest set bit, which an odd prime divides) and calls a per-row helper
+for the few rows left open.  A single-row route is its column on one
+row.  Only a q - 1 that is a prime power is walked, every element of
+the group reduced in one C-level `map`.
 The constructor refuses a p above the desk-scale limit and checks any
 other by trial division, at most 1024 odd divisors.  Trial division
 tries no divisor above that limit and raises OutOfRange instead.
@@ -175,14 +178,7 @@ def _smallest_prime_factor(n: int) -> int:
 
 def linear_space_verdict(pp: PrimePower) -> FqVerdict:
     """Closed-form rule: trivial group, order 2, or Mersenne order."""
-    q = pp.q
-    if pp.p != 2:
-        return FqVerdict(True, 2, 1) if q == 3 else _NO
-    if q == 2:
-        return _TRIVIAL
-    if mersenne_exponent(q - 1) is not None:
-        return FqVerdict(True, q - 1, 1)
-    return _NO
+    return _rule_column((pp,))[0]
 
 
 def elementary_abelian_oracle(pp: PrimePower) -> FqVerdict:
@@ -194,11 +190,34 @@ def elementary_abelian_oracle(pp: PrimePower) -> FqVerdict:
     "q - 1 is prime" is taken.  A q above the desk-scale limit that
     also bounds prime_power_scan raises OutOfRange before any work.
     """
-    q = pp.q
-    if q > _DESK_LIMIT:
+    if pp.q > _DESK_LIMIT:
         raise OutOfRange(
-            f"q = {_brief(q)} exceeds the oracle bound {_DESK_LIMIT}")
-    order = q - 1
+            f"q = {_brief(pp.q)} exceeds the oracle bound {_DESK_LIMIT}")
+    return _oracle_column((pp,))[0]
+
+
+def _rule_column(rows) -> list[FqVerdict]:
+    # "no" on an odd p but for q = 3, the only row with q - 1 = 2
+    return [_NO if pp.p != 2 and pp.q != 3 else _rule(pp) for pp in rows]
+
+
+def _rule(pp: PrimePower) -> FqVerdict:
+    q = pp.q
+    if q == 2:
+        return _TRIVIAL
+    if q == 3 or mersenne_exponent(q - 1) is not None:
+        return FqVerdict(True, q - 1, 1)
+    return _NO
+
+
+def _oracle_column(rows) -> list[FqVerdict]:
+    # "no" on an even q - 1 that an odd prime divides: an odd q reads
+    # (q - 1) & (q - 2) plus 1, an even q (a power of 2) reads 0
+    return [_NO if pp.q & (pp.q - 2) > 1 else _walk(pp) for pp in rows]
+
+
+def _walk(pp: PrimePower) -> FqVerdict:
+    order = pp.q - 1
     if order == 1:
         return _TRIVIAL
     if order & 1:
@@ -210,10 +229,7 @@ def elementary_abelian_oracle(pp: PrimePower) -> FqVerdict:
         if rest != 1:
             return _NO  # two distinct odd primes divide the order
     else:
-        low = order & -order  # the largest power of 2 dividing the order
-        if low != order:
-            return _NO  # an odd prime divides the order too
-        p2, m = 2, low.bit_length() - 1
+        p2, m = 2, order.bit_length() - 1  # the order is a power of 2
     # a * p' mod (q - 1) for every element a, in C
     if any(map(mod, range(0, order * p2, p2), repeat(order))):
         return _NO  # element of order not dividing p'
@@ -232,10 +248,8 @@ def prime_power_scan(q_max: int, *, include_oracle: bool = True
             f"{_DESK_LIMIT}")
     rows = _rows_to(q_max)
     rows = rows[:bisect_right(rows, q_max, key=_q)]
-    if include_oracle:
-        return [(pp, linear_space_verdict(pp), elementary_abelian_oracle(pp))
-                for pp in rows]
-    return [(pp, linear_space_verdict(pp), None) for pp in rows]
+    return list(zip(rows, _rule_column(rows), _oracle_column(rows)
+                    if include_oracle else repeat(None)))
 
 
 def _rows_to(q_max: int) -> list[PrimePower]:

@@ -11,7 +11,9 @@ Anything else, a traceback above all, breaks it.
 
 The draws stay at sizes that need no precision budget: element texts
 of a few terms, harness runs of one or two samples at small
-precisions, den caps 1-12 and scans up to 200.  Some terms and tails
+precisions, den caps 1-12 and scans up to 70000, which reach the walk
+of all 8191 elements at q = 8192 and the rows 257 and 65537, whose
+q - 1 is a power of 2.  Some terms and tails
 are written on the grid 1/13, past every drawn den cap, so that texts
 reach the route that grows the unit grid term by term; a few of them
 still answer, as x^(1/13) + x^(14/13) + O(x^(27/13)) does: its unit
@@ -44,7 +46,7 @@ INTEGERS = ("0", "1", "-2", "3", "+03", "7", "abc", "1/2")
 ROOT_INDICES = ("1", "2", "3", "4", "6", "0", "-1", "x")
 APRECS = ("1", "2", "3/2", "4", "8", "16", "64", " 8 ", "1/5", "2.5", "1e1",
           "1/0", "0/0", " 7/0 ", "0", "-3", "abc")
-SCAN_MAXES = ("1", "2", "40", "200", "0", "-3", "x")
+SCAN_MAXES = ("1", "2", "40", "200", "70000", "0", "-3", "x")
 COMMANDS = ("mul", "inv", "pow", "root", "scalar-mul", "decompose", "compose",
             "axioms", "torsion", "bijectivity", "fq-scan")
 # each harness's own bound flag and the largest value drawn for it

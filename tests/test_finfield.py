@@ -282,6 +282,17 @@ class TestScan:
         assert 64 in qs and 81 in qs and 97 in qs
         assert 6 not in qs and 12 not in qs
 
+    def test_columns_pair_with_single_row_routes_to_2_16(self):
+        # the scan's columns, row for row against each route on its own
+        # row; every row a column hands to its helper lies below 2**16:
+        # the 16 rows with p = 2 and q = 3, 5, 9, 17 and 257
+        rows = prime_power_scan(1 << 16)
+        want = [(pp, linear_space_verdict(pp), elementary_abelian_oracle(pp))
+                for pp, _, _ in rows]
+        assert len(rows) == 6635 and rows == want
+        assert prime_power_scan(1 << 16, include_oracle=False) == [
+            (pp, verdict, None) for pp, verdict, _ in want]
+
     def test_qmax_validated(self):
         with pytest.raises(ValueError):
             prime_power_scan(1)
