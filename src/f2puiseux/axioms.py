@@ -26,9 +26,9 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-from . import puiseux as px
+from . import puiseux as px, series
 from ._value import Value
-from .errors import DenominatorOverflow, _brief
+from .errors import DenominatorOverflow, OutOfRange, _brief
 from .puiseux import (DEFAULT_DEN_CAP, L0Element, PuiseuxUnit,
                       elements_agree, units_agree)
 from .series import F2Series
@@ -87,12 +87,18 @@ def _rng(seed: int, kind: str, index: int) -> random.Random:
 
 
 def _grid_choices(aprec: Fraction):
-    # aprec * d is a positive integer
+    # aprec * d is a positive integer, the bits of a sample on the grid
+    # 1/d, which the power budget bounds before any is drawn
     dens = [d for d in SAMPLE_DENS if d % aprec.denominator == 0
             and aprec.numerator * d >= aprec.denominator]
     if not dens:
         raise ValueError(
             f"no sample grid carries precision {_brief(aprec)}")
+    if aprec.numerator * dens[-1] > series._BIT_BUDGET * aprec.denominator:
+        raise OutOfRange(
+            f"aprec {_brief(aprec)} needs samples of "
+            f"{_brief(aprec * dens[-1])} bits, past the budget of "
+            f"{_brief(series._BIT_BUDGET)} bits")
     return dens
 
 

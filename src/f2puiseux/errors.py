@@ -1,8 +1,9 @@
 """Exception types shared across the package.
 
 Arithmetic errors signal domain violations (non-units, unsupported
-exponents) or resource bounds (denominator cap, scan bound).  Parse
-errors carry the character position at which the input was rejected.
+exponents) or resource bounds (denominator cap, scan bound, power
+budget).  Parse errors carry the character position at which the input
+was rejected.
 
 A message that prints a number prints it through _brief, which names
 a number of more than 40 digits by its digit count: exponents,
@@ -51,7 +52,9 @@ class Indistinguishable(ValueError):
 
 
 class OutOfRange(ValueError):
-    """Requested scan or oracle input exceeds the configured bound."""
+    """Requested scan, oracle input, power or harness precision exceeds
+    the configured bound, or an output numeral exceeds the digits
+    Python prints."""
 
 
 class ParseError(ValueError):

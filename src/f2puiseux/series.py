@@ -13,16 +13,22 @@ the units form a group of exponent 2**s, 2**s the least power of 2 at
 or above prec: a Z/2**s-module, in which k is invertible.  So a**(p/k)
 is a**e with e = p * k**-1 mod 2**s; the inverse is (p, k) = (-1, 1),
 the k-th root p = 1.  A 2**v-th power is a bit spread, exact from its
-base modulo t**ceil(prec / 2**v), and an odd power a**(2n + 1) is a
-times a spread of a**n, so each step of the exponent's ladder at least
-halves the precision it recurses at, and the recursion is about
-log2(prec) deep whatever p and k are.
+base modulo t**ceil(prec / 2**v).  So one loop walks the set bits of e
+from the top, the left-to-right binary method (Knuth, TAOCP vol. 2,
+4.6.3) with the squarings between two set bits taken as one spread:
+a**(e >> i), for a set bit i, is a times a**(e >> j) spread by
+2**(j - i), j the set bit above, known modulo t**ceil(prec / 2**i),
+and a**e is the last of these spread by 2**i.  As e < 2**s, that is at
+most s, about log2(prec), rungs whatever p and k are.  Before the first
+rung one O(1) test bounds the result, at most min(prec, (bits of a - 1)
+* e + 1) bits, by _BIT_BUDGET: a power past it raises OutOfRange, and a
+sparse one at a huge precision still answers.
 
 Products with a spread operand stay on the coarse grid.  As t -> t**m
 is a ring endomorphism of GF(2)[t], a * spread(z, m) is one stride
-product clmul(a, z, stride=m) (see bitops).  That covers every odd
-power (a * a**(2n) is a * spread(a**(2n/m), m), so no square is formed)
-and a unit product across two grids.
+product clmul(a, z, stride=m) (see bitops).  That covers every rung of
+the power's loop, so no square is formed, and a unit product across
+two grids.
 """
 
 from __future__ import annotations
@@ -30,7 +36,16 @@ from __future__ import annotations
 from ._value import Value
 from .bitops import (bit_indices, clmul, compress, spread, support_gcd,
                      trunc_bits)
-from .errors import EvenK, NotAUnit, OddSupport, _brief
+from .errors import EvenK, NotAUnit, OddSupport, OutOfRange, _brief
+
+# the most bits a power may hold: a**p modulo t**prec, p reduced, holds
+# at most min(prec, (a.bit_length() - 1) * p + 1), and past the budget
+# _power raises OutOfRange before its first product.  The harnesses read
+# it here too, for their sample grids.  A dense inverse or cube root took
+# 0.30-0.36 s at 2**18 bits, 1.6-1.8 s at 2**19, 5.1-6.8 s at 2**20 and
+# 20-31 s at 2**21 (Python 3.11.7, 2-vCPU VM); the largest input of the
+# tests, demos, README and benchmark is README's 2**18-term inverse
+_BIT_BUDGET = 1 << 20
 
 
 class F2Series(Value):
@@ -125,19 +140,22 @@ def _mul_spread(a: int, z: int, m: int, prec: int) -> int:
 def _power(a: int, p: int, k: int, prec: int) -> int:
     # a**(p/k) modulo t**prec, odd k >= 1; a is a unit unless k = 1 <= p.
     # For a unit, p/k is the integer p * k**-1 modulo the exponent 2**s
-    # of the units.  Its 2**v part spreads, and an odd 2n + 1 multiplies
-    # a by spread(a**(n/m), 2m), m the 2-power part of n, on the coarse grid
-    if k > 1 or p < 0:
-        mod = 1 << (prec - 1).bit_length()
-        p = p * pow(k, -1, mod) % mod
+    # of the units; a non-unit's powers from a**prec on are 0.  From the
+    # top set bit j of p down, y = a**(p >> j) modulo t**ceil(prec / 2**j):
+    # a at the top, and a times the spread of y by 2**(j - i) at each
+    # lower set bit i, which becomes j
+    mod = 1 << (prec - 1).bit_length()
+    p = p * pow(k, -1, mod) % mod if a & 1 else min(p, prec)
+    if prec > _BIT_BUDGET and (
+            bits := min(prec, (a.bit_length() - 1) * p + 1)) > _BIT_BUDGET:
+        raise OutOfRange(f"a power of {_brief(bits)} bits exceeds the "
+                         f"budget of {_brief(_BIT_BUDGET)} bits")
     if p == 0:
         return 1
-    if p == 1 or prec == 1:
-        return trunc_bits(a, prec)
-    v = (p & -p).bit_length() - 1
-    if v:
-        return spread(_power(a, p >> v, 1, -(-prec >> v)), 1 << v)
-    n = p >> 1
-    m = n & -n
-    return _mul_spread(trunc_bits(a, prec),
-                       _power(a, n // m, 1, -(-prec // (2 * m))), 2 * m, prec)
+    j = p.bit_length() - 1
+    y = trunc_bits(a, -(-prec >> j))
+    for i in range(j - 1, -1, -1):
+        if p >> i & 1:
+            y, j = _mul_spread(trunc_bits(a, q := -(-prec >> i)), y,
+                               1 << j - i, q), i
+    return spread(y, 1 << j) if j else y

@@ -45,7 +45,8 @@ from math import gcd
 
 from .bitops import bit_indices
 from .errors import (ElementSyntaxError, ExponentNotIncreasing,
-                     NonpositivePrecision, NonUnitLeadingTerm, ParseError)
+                     NonpositivePrecision, NonUnitLeadingTerm, OutOfRange,
+                     ParseError, _brief)
 from .puiseux import DEFAULT_DEN_CAP, L0Element, PuiseuxUnit, _plan, compose
 
 # x^n, x^(n) or x^(n/d): group 1 is the parenthesis, 2 the numerator
@@ -237,8 +238,19 @@ def format_unit(u: PuiseuxUnit) -> str:
 
 
 def format_element(a: L0Element) -> str:
-    """Canonical rendering; a zero valuation prints as a bare unit."""
-    unit_text = format_unit(a.unit)
-    if a.val == 0:
-        return unit_text
-    return f"x^({a.val}) * {unit_text}"
+    """Canonical rendering; a zero valuation prints as a bare unit.
+
+    Canonical text is never abbreviated, so an element with a numeral
+    past Python's limit on int-to-text conversion raises OutOfRange,
+    which names the longest numeral by its digit count."""
+    try:
+        unit_text = format_unit(a.unit)
+        if a.val == 0:
+            return unit_text
+        return f"x^({a.val}) * {unit_text}"
+    except ValueError:
+        longest = max(abs(n) for q in (a.val, a.unit.aprec)
+                      for n in (q.numerator, q.denominator))
+        raise OutOfRange(f"the text of the element needs a numeral of "
+                         f"{_brief(longest)}, more than "
+                         f"{sys.get_int_max_str_digits()} digits") from None

@@ -9,22 +9,32 @@ stderr line (text) or one `error` record (records), or returns 1 with
 a harness's own `result: FAIL` report, or argparse exits with code 2.
 Anything else, a traceback above all, breaks it.
 
-The draws stay at sizes that need no precision budget: element texts
-of a few terms, harness runs of one or two samples at small
-precisions, den caps 1-12 and scans up to 70000, which reach the walk
-of all 8191 elements at q = 8192 and the rows 257 and 65537, whose
-q - 1 is a power of 2.  Some terms and tails
-are written on the grid 1/13, past every drawn den cap, so that texts
-reach the route that grows the unit grid term by term; a few of them
-still answer, as x^(1/13) + x^(14/13) + O(x^(27/13)) does: its unit
-lives on den 1.
+Most draws stay small: element texts of a few terms, harness runs of
+one or two samples, den caps 1-12 and scans up to 70000, which reach
+the walk of all 8191 elements at q = 8192 and the rows 257 and 65537,
+whose q - 1 is a power of 2.  Some precision tails are 10**300 and
+2**1100, written out in digits, and some --aprec values are 10**7 and
+10**11: the power budget (series._BIT_BUDGET) refuses a dense power or
+a harness grid past it before the work starts, and a sparse power at
+such a precision answers.  Some terms and tails are written on the grid
+1/13, past every drawn den cap, so that texts reach the route that
+grows the unit grid term by term; a few of them still answer, as
+x^(1/13) + x^(14/13) + O(x^(27/13)) does: its unit lives on den 1.
+
+BOUNDED pins the inputs that such sizes once sent into a traceback or
+an untyped error, and the sparse ones that answer at those sizes, each
+with its answer or the error that refuses it; bounded_misses runs them
+in a child process under an address-space limit.
 """
 
 import io
 import json
 import os
 import random
+import subprocess
+import sys
 from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 from unittest import mock
 
 from f2puiseux.cli import main
@@ -38,14 +48,15 @@ TERMS = ("1", "1", "x^1", "x^2", "x^(1/2)", "x^(2/3)", "x^(3/4)", "x^(4/6)",
          "x^(1/13)", "x^(14/13)", "x^(14/13)")
 TAILS = ("O(x^(3))", "O(x^3)", "O(x^(7/2))", "O(x^(10))", "O(x^(0))",
          "O(x^(-1))", "O(x^(1/0))", "O(x)", "", "O(x^(27/13))",
-         "O(x^(27/13))")
+         "O(x^(27/13))", f"O(x^({10 ** 300}))", f"O(x^({2 ** 1100}))")
 SEPARATORS = (" + ", "+", " +  ", "\t+ ")
 RATIONALS = ("1/2", "-5/3", "2", "0", "-1", "7/4", "+2", "-0/5", " 3 ",
              "1/0", "0/0", "abc", "1.5", "")
 INTEGERS = ("0", "1", "-2", "3", "+03", "7", "abc", "1/2")
 ROOT_INDICES = ("1", "2", "3", "4", "6", "0", "-1", "x")
 APRECS = ("1", "2", "3/2", "4", "8", "16", "64", " 8 ", "1/5", "2.5", "1e1",
-          "1/0", "0/0", " 7/0 ", "0", "-3", "abc")
+          "1/0", "0/0", " 7/0 ", "0", "-3", "abc", str(10 ** 7),
+          str(10 ** 11))
 SCAN_MAXES = ("1", "2", "40", "200", "70000", "0", "-3", "x")
 COMMANDS = ("mul", "inv", "pow", "root", "scalar-mul", "decompose", "compose",
             "axioms", "torsion", "bijectivity", "fq-scan")
@@ -144,6 +155,88 @@ def transcript(argv):
             code = exc.code
     return {"argv": argv, "code": code, "out": out.getvalue(),
             "err": err.getvalue()}
+
+
+_N = 10 ** 300
+_U = f"1 + x^(1) + O(x^({_N}))"
+# (argv, 0, the one line it prints) or (argv, 1, the error that refuses
+# it); precisions written out in digits
+BOUNDED = (
+    # all-ones exponents whose answer is one bit
+    (["inv", f"1 + O(x^({_N}))"], 0, f"1 + O(x^({_N}))"),
+    (["inv", f"x^(1/2) * 1 + O(x^({_N}))"], 0,
+     f"x^(-1/2) * 1 + O(x^({_N}))"),
+    (["pow", f"1 + O(x^({2 ** 1100}))", "-1"], 0,
+     f"1 + O(x^({2 ** 1100}))"),
+    # sparse powers and products at huge precisions and exponents
+    (["pow", f"1 + O(x^({_N}))", str(3 ** 2000)], 0, f"1 + O(x^({_N}))"),
+    (["pow", _U, "3"], 0, f"1 + x^(1) + x^(2) + x^(3) + O(x^({_N}))"),
+    (["mul", _U, _U], 0, f"1 + x^(2) + O(x^({_N}))"),
+    (["root", "1 + x^(1) + O(x^(300))", str(3 ** 2000)], 0,
+     "1 + x^(1) + x^(64) + x^(65) + x^(128) + x^(129) + x^(192) + "
+     "x^(193) + x^(256) + x^(257) + O(x^(300))"),
+    (["pow", "1 + x^(1) + O(x^(3))", str(3 ** 2000)], 0,
+     "1 + x^(1) + O(x^(3))"),
+    (["scalar-mul", f"{3 ** 2000}/7", "1 + x^(1) + O(x^(3))"], 0,
+     "1 + x^(1) + x^(2) + O(x^(3))"),
+    # dense powers and harness grids past the budget
+    (["inv", _U], 1, "OutOfRange"),
+    (["root", _U, "3"], 1, "OutOfRange"),
+    (["axioms", "--samples", "1", "--aprec", str(10 ** 11)], 1,
+     "OutOfRange"),
+    (["bijectivity", "--samples", "1", "--aprec", str(10 ** 9)], 1,
+     "OutOfRange"),
+    (["bijectivity", "--samples", "1", "--kmax", "3", "--aprec",
+      str(10 ** 7)], 1, "OutOfRange"),
+    (["torsion", "--samples", "1", "--nmax", str(10 ** 8), "--aprec",
+      str(10 ** 8)], 1, "OutOfRange"),
+    # a valuation of about 8000 digits, more than Python prints
+    (["scalar-mul", f"1/{10 ** 4001 + 1}",
+      f"x^(1/{10 ** 4000 + 1}) * 1 + O(x^(1))"], 1, "OutOfRange"),
+    # an index too large to allocate, refused untyped
+    (["inv", f"1 + x^({10 ** 30}) + O(x^({10 ** 30 + 1}))"], 1,
+     "OverflowError"),
+)
+
+
+def _transcript_or_raised(argv):
+    try:
+        return transcript(argv)
+    except Exception as exc:
+        return {"argv": argv, "code": f"raised {type(exc).__name__}"}
+
+
+def bounded_misses() -> list:
+    """Run the BOUNDED inputs in one child process whose address space
+    is limited to 800 MiB, and return the transcript of each that does
+    not print its pinned answer or one line of its error."""
+    tests = Path(__file__).resolve().parent
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(tests.parent / "src"), str(tests)]))
+    limit = 800 << 20
+    code = ("import json, resource, sys; "
+            f"resource.setrlimit(resource.RLIMIT_AS, ({limit}, {limit})); "
+            "from argv_fuzz import _transcript_or_raised as run; "
+            "print(json.dumps([run(a) for a in json.load(sys.stdin)]))")
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          input=json.dumps([a for a, _, _ in BOUNDED]),
+                          capture_output=True, text=True, timeout=120)
+    if proc.returncode:
+        return [{"code": f"child exit {proc.returncode}",
+                 "err": proc.stderr[-2000:]}]
+    misses = []
+    for (argv, code, text), run in zip(BOUNDED, json.loads(proc.stdout)):
+        if code == 0:
+            ok = (run["code"], run.get("out"), run.get("err")) == (
+                0, text + "\n", "")
+        else:
+            err = run.get("err", "")
+            ok = (run["code"] == 1 and run.get("out") == ""
+                  and err.startswith(f"{argv[0]}: {text}: ")
+                  and err.count("\n") == 1 and err.endswith("\n"))
+        if not ok:
+            misses.append(run)
+    return misses
 
 
 def _records(out: str) -> list | None:

@@ -36,7 +36,10 @@ seven value types for its repr, equality with a twin, its hash or
 unhashability, and copy, deepcopy and pickle round trips.  It also
 runs the first 200 seeded command lines of tests/argv_fuzz.py, which
 the Tier-1 suite runs 1000 of, and checks that each ends in output, one
-diagnostic or a usage error, never a traceback, and that importing the
+diagnostic or a usage error, never a traceback; runs its BOUNDED
+inputs, one-bit powers at a precision of 10**300 and inputs past the
+power budget, in a child process limited to 800 MiB of address space
+and checks each answer or refusal; and checks that importing the
 command loads neither `dataclasses` nor `inspect`.
 It prints one line per part and exits 1 if any part fails.  pytest
 does not collect this file; the Tier-1 suite covers the same ground
@@ -61,7 +64,8 @@ from f2puiseux import (AxiomCheck, AxiomReport, DenominatorOverflow,
                        series, unit_root, units_agree)
 from f2puiseux import finfield
 
-from argv_fuzz import broken_rule, draws, transcript
+from argv_fuzz import (BOUNDED, bounded_misses, broken_rule, draws,
+                       transcript)
 from oracles import (bits_to_coeffs, coeffs_to_bits, convolve_mod2,
                      coordinates_match, field_oracle, lifted_root,
                      reference_parse_element, reference_prime_power_scan,
@@ -427,6 +431,11 @@ def argv_fuzz():
     return len(argvs), [argv for argv in argvs if broken_rule(argv)]
 
 
+def bounded():
+    return len(BOUNDED), [(run.get("argv", [""])[0], run["code"])
+                          for run in bounded_misses()]
+
+
 if __name__ == "__main__":
     failed = False
     for name, part in (("golden transcripts", golden), ("demos", demos),
@@ -446,6 +455,8 @@ if __name__ == "__main__":
                         value_types),
                        ("seeded command lines without a traceback",
                         argv_fuzz),
+                       ("huge inputs answer or are refused, under 800 MiB",
+                        bounded),
                        ("import without dataclasses or inspect",
                         footprint)):
         total, bad = part()

@@ -1,11 +1,13 @@
+import tracemalloc
 from fractions import Fraction as Q
 
 import pytest
 
 import f2puiseux.puiseux as px
-from f2puiseux import (F2Series, PuiseuxUnit, check_root_bijectivity,
-                       check_torsion_free, check_vector_space_axioms)
-from f2puiseux import axioms
+from f2puiseux import (F2Series, OutOfRange, PuiseuxUnit,
+                       check_root_bijectivity, check_torsion_free,
+                       check_vector_space_axioms)
+from f2puiseux import axioms, series
 from f2puiseux.axioms import random_unit, _rng
 
 
@@ -209,6 +211,28 @@ class TestSampler:
             with pytest.raises(ValueError, match=(
                     f"^no sample grid carries precision {brief}$")):
                 random_unit(rng, aprec)
+
+    def test_grid_past_the_power_budget_refused_before_drawing(
+            self, monkeypatch):
+        # the bits of a sample on the finest usable grid, aprec * 12 here,
+        # are checked against the budget before anything is drawn or built
+        rng = _rng(0, "demo", 3)
+        state = rng.getstate()
+        tracemalloc.start()
+        try:
+            with pytest.raises(OutOfRange, match=(
+                    "^aprec 100000000000 needs samples of 1200000000000 "
+                    f"bits, past the budget of {series._BIT_BUDGET} bits$")):
+                random_unit(rng, Q(10 ** 11))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 16 and rng.getstate() == state
+        # the harnesses read the budget from series when they run
+        monkeypatch.setattr(series, "_BIT_BUDGET", 96)
+        assert random_unit(rng, 8).aprec == 8
+        with pytest.raises(OutOfRange):
+            check_root_bijectivity(1, 2, Q(17, 2), 0)  # 17/2 * 12 > 96
 
     def test_digit_counts_at_powers_of_ten(self):
         for k in range(41, 400):

@@ -11,7 +11,7 @@ import pytest
 
 from f2puiseux.cli import build_parser, main
 
-from argv_fuzz import broken_rule, draws, transcript
+from argv_fuzz import bounded_misses, broken_rule, draws, transcript
 from test_axioms import lossy_mul  # noqa: F401  (a fixture)
 from test_puiseux import LONG_GRID_ERROR, LONG_GRID_TEXT
 
@@ -288,16 +288,23 @@ def test_fixed_usage_is_what_argparse_makes_at_80_columns():
 
 def test_argv_fuzz_prints_no_traceback():
     """1000 seeded command lines over all eleven commands, bad tokens,
-    zero denominators, den caps 1-12 and both formats among them: each
-    run returns 0 with output, or 1 with one diagnostic or a harness's
-    FAIL report, or ends in argparse's exit 2 (tests/argv_fuzz.py).
-
-    The draws keep to sizes that need no precision budget.  Huge
-    indices, exponents, root indices and scan sizes are left out until
-    a budget bounds them before the work starts."""
+    zero denominators, den caps 1-12, precisions of 10**300 and 2**1100
+    bits, --aprec values of 10**7 and 10**11 and both formats among
+    them: each run returns 0 with output, or 1 with one diagnostic or a
+    harness's FAIL report, or ends in argparse's exit 2
+    (tests/argv_fuzz.py)."""
     bad = [(argv, rule) for argv in draws(1, 1000)
            if (rule := broken_rule(argv))]
     assert bad == []
+
+
+def test_bounded_inputs_answer_or_refuse_under_a_memory_limit():
+    """Each input of argv_fuzz.BOUNDED, run in one child process limited
+    to 800 MiB of address space, prints its pinned answer or one line of
+    its error: the one-bit powers at a precision of 10**300 answer, and
+    the dense powers and harness grids past the power budget are refused
+    before the work starts."""
+    assert bounded_misses() == []
 
 
 def test_parser_reuse_leaks_no_state(capsys):

@@ -466,20 +466,26 @@ class TestUnitPow:
     def test_negative_even_power_inverts_at_reduced_precision(
             self, e, monkeypatch):
         # u**(-c * 2**v) needs u**(-c) modulo x**ceil(prec / 2**v) only,
-        # so its odd part is raised there and spread by 2**v
-        honest, calls = series._power, []
+        # so its odd part is raised there and spread by 2**v: no product
+        # is taken at a higher precision, and one spread comes last
+        honest_mul, honest_spread = series._mul_spread, series.spread
+        calls = []
 
-        def recorded(a, p, k, prec):
-            calls.append((p, k, prec))
-            return honest(a, p, k, prec)
-        monkeypatch.setattr(series, "_power", recorded)
+        def recorded_mul(a, z, m, prec):
+            calls.append(("mul", prec))
+            return honest_mul(a, z, m, prec)
+
+        def recorded_spread(x, m):
+            calls.append(("spread", m))
+            return honest_spread(x, m)
+        monkeypatch.setattr(series, "_mul_spread", recorded_mul)
+        monkeypatch.setattr(series, "spread", recorded_spread)
         u = random_unit(random.Random(-e), 3, 4097)
         got = unit_pow(u, e)
-        assert calls[0] == (e, 1, 4097)
-        odd, k, prec = calls[1]
-        assert (odd % 2, k, prec) == (1, 1, ceil(4097 / -e))
-        # 2**13 is the exponent of the units modulo x**4097
-        assert odd * -e % (1 << 13) == e % (1 << 13)
+        *products, last = calls
+        assert last == ("spread", -e)
+        assert {kind for kind, _ in products} == {"mul"}
+        assert max(prec for _, prec in products) == ceil(4097 / -e)
         assert unit_mul(got, unit_pow(u, -e)).is_identity()
 
 

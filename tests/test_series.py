@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from f2puiseux import (EvenK, F2Series, NotAUnit, OddSupport, add, inv,
-                       kth_root_odd, mul, pow_int, series, sqrt)
+from f2puiseux import (EvenK, F2Series, NotAUnit, OddSupport, OutOfRange,
+                       add, inv, kth_root_odd, mul, pow_int, series, sqrt)
 from f2puiseux import bitops
 from f2puiseux.puiseux import DEFAULT_DEN_CAP
 from f2puiseux.bitops import (_COMB_CUTOFF, _SPARSE_SCAN, _WIDE_BITS,
@@ -657,6 +657,17 @@ class TestPowerLadderAgainstOracles:
                 got = kth_root_odd(a, k).coeffs
                 assert got == coordinate_power(a.coeffs, 1, k, prec), prec
 
+    @pytest.mark.parametrize("c", [1, 3])
+    def test_all_ones_exponents(self, c):
+        # p = 2**s - 1, the inverse, multiplies at every rung of the
+        # ladder, and 2**s - 3 at all but one
+        rng = random.Random(c)
+        for prec in LADDER_PRECS:
+            a = rng.getrandbits(prec) | 1
+            p = (1 << (prec - 1).bit_length()) - c
+            assert (series._power(a, p, 1, prec)
+                    == coordinate_power(a, p, 1, prec)), prec
+
     @pytest.mark.parametrize("k", [1, 3, 5, 9, 31, 49])
     def test_dense_operands_reach_the_comb(self, k, comb_calls):
         # with 2**v dividing k-1, the last product multiplies a by a
@@ -789,11 +800,12 @@ class TestPow:
 
     @pytest.mark.parametrize("e", [0, 1, 2, 3, 4, 7, 8, 48, 255, 256])
     def test_no_squaring_past_the_top_bit(self, e, monkeypatch):
-        # with e = c * 2**v, c odd, a**c = a * spread(a**(c >> j), 2**j)
-        # for the next set bit j of c, recursing on c >> j modulo
-        # t**ceil(prec / 2**j); a**e then spreads once by 2**v.  So the
-        # strides are the gaps between the set bits of c, none of them 1
-        # (no square), innermost first, down to where the precision is 1
+        # a unit's exponent counts modulo 64, the exponent of the units
+        # modulo t**64, so e is reduced to r first.  Each set bit of r
+        # below the top one multiplies a by a spread of the power so far,
+        # by the gap to the set bit above: the strides are the gaps
+        # between the set bits of r, none of them 1 (no square), top
+        # first, and a**r then spreads once by its 2-power part
         calls = []
 
         def counted_spread(x, m):
@@ -806,15 +818,10 @@ class TestPow:
         monkeypatch.setattr(series, "spread", counted_spread)
         monkeypatch.setattr(series, "_mul_spread", counted_mul_spread)
         got = series._power(0b1011, e, 1, 64)
-        c = e // (e & -e) if e else 0
-        bits = [j for j in range(c.bit_length()) if c >> j & 1]
-        strides, prec = [], -(-64 // (e & -e or 1))
-        for lo, hi in zip(bits, bits[1:]):
-            if prec == 1:
-                break
-            strides.append(("mul", 1 << (hi - lo)))
-            prec = -(-prec >> (hi - lo))
-        assert calls == strides[::-1] + [("spread", e & -e)] * (e & -e > 1)
+        r = e % 64
+        bits = [j for j in range(r.bit_length()) if r >> j & 1]
+        strides = [("mul", 1 << (hi - lo)) for lo, hi in zip(bits, bits[1:])]
+        assert calls == strides[::-1] + [("spread", r & -r)] * (r & -r > 1)
         want = 1
         for _ in range(e):
             want = clmul(want, 0b1011) & ((1 << 64) - 1)
@@ -840,10 +847,24 @@ class TestPow:
 class TestHugeExponents:
     """Units modulo t**prec have exponent 2**s, the least power of 2 at
     or above prec, so only p/k modulo 2**s matters, and no exponent or
-    root index makes the power recurse more than about log2(prec) deep."""
+    root index makes the power take more than about log2(prec) rungs."""
 
-    def test_nonunit_power_is_zero(self):
+    def test_nonunit_power_is_zero(self, monkeypatch):
+        # a non-unit's powers from a**prec on are 0, so a huge exponent
+        # counts as prec
+        rungs = []
+        honest = series._mul_spread
+
+        def counted(*args):
+            rungs.append(args)
+            return honest(*args)
+        monkeypatch.setattr(series, "_mul_spread", counted)
         assert pow_int(S(0b110, 3), 3 ** 2000) == S(0, 3)
+        assert len(rungs) == 1
+        a, want = S(0b1010110, 8), F2Series.one(8)
+        for e in range(20):
+            assert pow_int(a, e) == want, e
+            want = mul(want, a)
 
     @pytest.mark.parametrize("prec", [1, 2, 3, 64, 65, 300, 4097])
     def test_root_of_huge_index_matches_coordinates(self, prec):
@@ -864,3 +885,43 @@ class TestHugeExponents:
             want = pow_int(a, e)
             for c in (1, 5, 3 ** 2000):
                 assert pow_int(a, e + c * mod) == want, (e, c)
+
+
+class TestBitBudget:
+    """_power bounds the bits of its result, min(prec, (bits of a - 1) * p
+    + 1) for the reduced exponent p, before its first product."""
+
+    DENSE = random.Random(21).getrandbits(1 << 21) | 1
+
+    @pytest.mark.parametrize("a, p, k, prec", [
+        (0b11, -1, 1, 10 ** 300), (0b11, 1, 3, 2 ** 1100),
+        (0b11, 1 << 20, 1, 10 ** 300), (DENSE, 1, 3, 1 << 21),
+        (DENSE, 2, 1, (1 << 20) + 1)], ids=["inv", "root", "sparse-power",
+                                            "dense-root", "dense-square"])
+    def test_refused_before_allocating(self, a, p, k, prec):
+        tracemalloc.start()
+        try:
+            with pytest.raises(OutOfRange, match=(
+                    f"bits exceeds the budget of {series._BIT_BUDGET} "
+                    "bits$")):
+                series._power(a, p, k, prec)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 16
+
+    def test_sparse_power_at_the_budget_answers(self):
+        # every binomial coefficient of 2**20 - 1 is odd
+        n = 1 << 20
+        assert series._power(0b11, n - 1, 1, 10 ** 300) == (1 << n) - 1
+        assert series._power(1, -1, 1, 2 ** 1100) == 1
+
+    def test_lowered_budget_bounds_every_power(self, monkeypatch):
+        monkeypatch.setattr(series, "_BIT_BUDGET", 64)
+        rng = random.Random(64)
+        a = S(rng.getrandbits(64) | 1, 64)
+        assert mul(a, inv(a)) == F2Series.one(64)
+        for call in (inv, lambda b: kth_root_odd(b, 3),
+                     lambda b: pow_int(b, 3)):
+            with pytest.raises(OutOfRange):
+                call(S(rng.getrandbits(65) | 1, 65))

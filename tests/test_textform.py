@@ -1,4 +1,5 @@
 import random
+import sys
 from fractions import Fraction as Q
 
 import pytest
@@ -7,8 +8,8 @@ from hypothesis import strategies as st
 
 from f2puiseux import (DenominatorOverflow, ElementSyntaxError, F2Series,
                        ExponentNotIncreasing, Indistinguishable, L0Element,
-                       NonpositivePrecision, NonUnitLeadingTerm, ParseError,
-                       PuiseuxUnit, compose, format_element, format_unit,
+                       NonpositivePrecision, NonUnitLeadingTerm, OutOfRange,
+                       ParseError, PuiseuxUnit, compose, format_element, format_unit,
                        parse_element, parse_unit)
 from f2puiseux.textform import parse_rational
 
@@ -132,6 +133,20 @@ class TestFormat:
     def test_integer_exponents_have_no_denominator(self):
         u = U(1, 0b101, 3)
         assert format_unit(u) == "1 + x^(2) + O(x^(3))"
+
+
+    @pytest.mark.parametrize("val, prec, digits", [
+        (Q(1, (10 ** 4001 + 1) * (10 ** 4000 + 1)), 1, 8002),
+        (Q(0), 10 ** 5000, 5001)], ids=["valuation", "precision"])
+    def test_unprintable_numeral_is_out_of_range(self, val, prec, digits):
+        # canonical text is never abbreviated, so a numeral that Python
+        # will not print is refused, named by its digit count
+        a = L0Element(val, U(1, 1, prec))
+        with pytest.raises(OutOfRange, match=(
+                f"^the text of the element needs a numeral of <{digits} "
+                f"digits>, more than {sys.get_int_max_str_digits()} "
+                "digits$")):
+            format_element(a)
 
 
 class TestRoundTrip:
